@@ -89,11 +89,16 @@ class ExtractedNetlist:
 
     def net_region(self, net: NetNode, layer: Layer) -> Region:
         """The net's geometry on one layer."""
-        merged = Region()
-        for node in self.nodes_of_net(net):
-            if node.layer == layer:
-                merged = merged | self.components[layer][node.index]
-        return merged
+        # one-pass union: a layer's components are disjoint, so their
+        # canonical rects already are
+        return Region(
+            [
+                r
+                for node in self.nodes_of_net(net)
+                if node.layer == layer
+                for r in self.components[layer][node.index].rects()
+            ]
+        )
 
 
 def extract_nets(cell: Cell, tech: Technology) -> ExtractedNetlist:

@@ -33,15 +33,19 @@ def merge_intervals(intervals: list[Interval]) -> list[Interval]:
 def intersect_intervals(xs: list[Interval], ys: list[Interval]) -> list[Interval]:
     """Intersection of two canonical interval lists."""
     out: list[Interval] = []
+    nx, ny = len(xs), len(ys)
     i = j = 0
-    while i < len(xs) and j < len(ys):
-        a = max(xs[i][0], ys[j][0])
-        b = min(xs[i][1], ys[j][1])
-        if a < b:
-            out.append((a, b))
-        if xs[i][1] < ys[j][1]:
+    while i < nx and j < ny:
+        a0, a1 = xs[i]
+        b0, b1 = ys[j]
+        lo = a0 if a0 > b0 else b0
+        if a1 < b1:
+            if lo < a1:
+                out.append((lo, a1))
             i += 1
         else:
+            if lo < b1:
+                out.append((lo, b1))
             j += 1
     return out
 

@@ -9,11 +9,22 @@ y-interval lists are merged back together.  Two regions describing the same
 point set therefore always hold the same rectangle list, which makes
 equality, hashing, and property-based testing trivial.
 
-Boolean operations (union, intersection, difference, xor) are computed by
-a joint slab sweep using the 1-D interval algebra in
-:mod:`repro.geometry.intervals`.  Morphological sizing (grow/shrink with a
-square structuring element) is built on top, which in turn powers the DRC
-width/space/enclosure checks.
+Only the constructor takes arbitrary, possibly overlapping rectangles; it
+decomposes them with a heap-driven plane sweep.  Every other operation
+reads and writes canonical slabs directly:
+
+* Boolean operations (union, intersection, difference, xor) bisect both
+  slab lists down to the operands' common x-extent and sweep only that
+  window with the 1-D interval algebra in :mod:`repro.geometry.intervals`;
+  slabs outside it are copied or dropped whole.  A small operand against
+  a wide one therefore costs a bisection plus the slabs the small one
+  spans.
+* Dilation is separable: each slab's y-intervals grow, then the grown
+  slabs are unioned along x with a sliding index window.  Erosion is
+  complement-dilate-complement, and the DRC width/space/enclosure checks
+  are built on both.
+* Connected components union-find the (slab, interval) pairs across
+  adjacent slabs and regroup each component's slabs.
 """
 
 from __future__ import annotations
@@ -21,7 +32,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import struct
-from typing import Iterable, Iterator, Sequence
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.geometry.intervals import (
     Interval,
@@ -33,8 +46,14 @@ from repro.geometry.intervals import (
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
-# A slab is (x0, x1, [y-intervals]); slabs are sorted by x0 and disjoint.
+# A slab is (x0, x1, [y-intervals]); slabs are sorted by x0 and disjoint,
+# so their x1 values are sorted too.  Slab lists and their interval lists
+# are never mutated once a region holds them, so regions may share them.
 Slab = tuple[int, int, list[Interval]]
+IntervalOp = Callable[[list[Interval], list[Interval]], list[Interval]]
+
+_slab_x0 = itemgetter(0)
+_slab_x1 = itemgetter(1)
 
 
 def _slabs_from_rects(rects: Sequence[Rect]) -> list[Slab]:
@@ -70,31 +89,138 @@ def _merge_slabs(slabs: list[Slab]) -> list[Slab]:
         if out and out[-1][1] == xa and out[-1][2] == ys:
             out[-1] = (out[-1][0], xb, ys)
         else:
-            out.append((xa, xb, list(ys)))
+            out.append((xa, xb, ys))
     return out
 
 
-def _sweep(a: list[Slab], b: list[Slab], op) -> list[Slab]:
-    """Joint slab sweep of two canonical slab lists under interval op."""
-    xs = sorted({x for xa, xb, _ in a for x in (xa, xb)} | {x for xa, xb, _ in b for x in (xa, xb)})
-    if not xs:
-        return []
+def _splice(runs: Iterable[list[Slab]]) -> list[Slab]:
+    """Concatenate x-ordered canonical slab runs, merging across each seam."""
     out: list[Slab] = []
+    for run in runs:
+        if not run:
+            continue
+        xa, xb, ys = run[0]
+        if out and out[-1][1] == xa and out[-1][2] == ys:
+            out[-1] = (out[-1][0], xb, ys)
+            out.extend(run[1:])
+        else:
+            out.extend(run)
+    return out
+
+
+def _windows(a: list[Slab], b: list[Slab]) -> tuple[int, int, int, int]:
+    """Index ranges ``a[ia:ja]``, ``b[ib:jb]`` of the slabs that reach into
+    the operands' common open x-extent (both lists non-empty).
+
+    Slabs before a window end at or left of it and slabs after it start
+    at or right of it; only the operand reaching further out on that side
+    has any.  Disjoint or touching extents give empty windows.
+    """
+    lo = max(a[0][0], b[0][0])
+    hi = min(a[-1][1], b[-1][1])
+    ia = bisect_right(a, lo, key=_slab_x1)
+    ib = bisect_right(b, lo, key=_slab_x1)
+    ja = bisect_left(a, hi, lo=ia, key=_slab_x0)
+    jb = bisect_left(b, hi, lo=ib, key=_slab_x0)
+    return ia, ja, ib, jb
+
+
+def _sweep(
+    a: list[Slab], b: list[Slab], op: IntervalOp, keep_a: bool, keep_b: bool
+) -> list[Slab]:
+    """Combine two canonical slab lists under interval ``op``.
+
+    ``keep_a``/``keep_b`` say what ``op`` does where only one operand has
+    area: ``op(ys, [])`` is ``ys`` when ``keep_a`` and empty otherwise
+    (likewise ``op([], ys)`` and ``keep_b``).  Outside the common
+    x-extent that decides whole slabs, so only the two windows are swept.
+    """
+    if not a:
+        return list(b) if keep_b else []
+    if not b:
+        return list(a) if keep_a else []
+    ia, ja, ib, jb = _windows(a, b)
+    return _splice(
+        (
+            a[:ia] if keep_a else [],
+            b[:ib] if keep_b else [],
+            _sweep_window(a[ia:ja], b[ib:jb], op, keep_a, keep_b),
+            a[ja:] if keep_a else [],
+            b[jb:] if keep_b else [],
+        )
+    )
+
+
+def _sweep_window(
+    a: list[Slab], b: list[Slab], op: IntervalOp, keep_a: bool, keep_b: bool
+) -> list[Slab]:
+    """Joint slab sweep over every x where either operand's boundary changes."""
+    xs = sorted({x for xa, xb, _ in a for x in (xa, xb)} | {x for xa, xb, _ in b for x in (xa, xb)})
+    out: list[Slab] = []
+    na, nb = len(a), len(b)
     ia = ib = 0
     for xa, xb in zip(xs, xs[1:]):
-        while ia < len(a) and a[ia][1] <= xa:
+        while ia < na and a[ia][1] <= xa:
             ia += 1
-        while ib < len(b) and b[ib][1] <= xa:
+        while ib < nb and b[ib][1] <= xa:
             ib += 1
-        ya: list[Interval] = []
-        yb: list[Interval] = []
-        if ia < len(a) and a[ia][0] <= xa:
-            ya = a[ia][2]
-        if ib < len(b) and b[ib][0] <= xa:
-            yb = b[ib][2]
-        ys = op(ya, yb)
+        ya = a[ia][2] if ia < na and a[ia][0] <= xa else []
+        yb = b[ib][2] if ib < nb and b[ib][0] <= xa else []
+        if ya and yb:
+            ys = op(ya, yb)
+        elif ya:
+            ys = ya if keep_a else []
+        else:
+            ys = yb if keep_b else []
         if ys:
             out.append((xa, xb, ys))
+    return _merge_slabs(out)
+
+
+def _union_intervals(xs: list[Interval], ys: list[Interval]) -> list[Interval]:
+    return merge_intervals(xs + ys)
+
+
+def _grown_intervals(ys: list[Interval], dy: int) -> list[Interval]:
+    """Grow each canonical interval by ``dy`` on both sides (``dy >= 0``);
+    the grown intervals stay sorted, so touching ones merge in one pass."""
+    out: list[Interval] = []
+    for y0, y1 in ys:
+        if out and y0 - dy <= out[-1][1]:
+            out[-1] = (out[-1][0], y1 + dy)
+        else:
+            out.append((y0 - dy, y1 + dy))
+    return out
+
+
+def _dilated(slabs: list[Slab], d: int, dy: int) -> list[Slab]:
+    """Dilate canonical slabs by a ``2d x 2dy`` box (``d, dy >= 0``).
+
+    Grown slab ``k`` spans ``[x0_k - d, x1_k + d]``.  Both the grown
+    starts and the grown ends stay sorted, so the slabs covering any x
+    are one contiguous index window ``[lo, hi)`` that only slides forward
+    as the sweep moves right; each elementary x-range unions the grown
+    intervals of its window.
+    """
+    n = len(slabs)
+    x0s = [xa - d for xa, _, _ in slabs]
+    x1s = [xb + d for _, xb, _ in slabs]
+    grown = [_grown_intervals(ys, dy) for _, _, ys in slabs]
+    xs = sorted(set(x0s).union(x1s))
+    out: list[Slab] = []
+    lo = hi = 0
+    for xa, xb in zip(xs, xs[1:]):
+        while hi < n and x0s[hi] <= xa:
+            hi += 1
+        while lo < hi and x1s[lo] <= xa:
+            lo += 1
+        if lo == hi:
+            continue
+        if hi - lo == 1:
+            ys = grown[lo]
+        else:
+            ys = merge_intervals([iv for k in range(lo, hi) for iv in grown[k]])
+        out.append((xa, xb, ys))
     return _merge_slabs(out)
 
 
@@ -214,22 +340,25 @@ class Region:
             if xa > p.x:
                 # slabs sorted: a later slab may still touch p.x == xa, so
                 # only stop once strictly past
-                if xa > p.x:
-                    break
+                break
         return False
 
     # -- boolean algebra -----------------------------------------------------
     def __or__(self, other: "Region") -> "Region":
-        return Region._from_slabs(_sweep(self._slabs, other._slabs, lambda a, b: merge_intervals(a + b)))
+        return Region._from_slabs(_sweep(self._slabs, other._slabs, _union_intervals, True, True))
 
     def __and__(self, other: "Region") -> "Region":
-        return Region._from_slabs(_sweep(self._slabs, other._slabs, intersect_intervals))
+        return Region._from_slabs(
+            _sweep(self._slabs, other._slabs, intersect_intervals, False, False)
+        )
 
     def __sub__(self, other: "Region") -> "Region":
-        return Region._from_slabs(_sweep(self._slabs, other._slabs, subtract_intervals))
+        return Region._from_slabs(
+            _sweep(self._slabs, other._slabs, subtract_intervals, True, False)
+        )
 
     def __xor__(self, other: "Region") -> "Region":
-        return Region._from_slabs(_sweep(self._slabs, other._slabs, xor_intervals))
+        return Region._from_slabs(_sweep(self._slabs, other._slabs, xor_intervals, True, True))
 
     union = __or__
     intersection = __and__
@@ -238,15 +367,18 @@ class Region:
     def overlaps(self, other: "Region") -> bool:
         """True when interiors intersect.
 
-        A two-pointer sweep over both canonical slab lists that stops at
-        the first intersecting (slab, slab) pair — unlike ``self & other``
-        it never materializes the intersection, so disjoint-but-close
-        regions (the common case in hotspot bridging and fill checks)
-        answer in O(slabs scanned) with no allocation.
+        A two-pointer sweep over the slabs inside both operands' common
+        x-extent (found by bisection) that stops at the first intersecting
+        (slab, slab) pair — unlike ``self & other`` it never materializes
+        the intersection, so disjoint-but-close regions (the common case in
+        hotspot bridging and fill checks) answer in O(log n + slabs
+        scanned) with no allocation.
         """
         a, b = self._slabs, other._slabs
-        ia = ib = 0
-        while ia < len(a) and ib < len(b):
+        if not a or not b:
+            return False
+        ia, ja, ib, jb = _windows(a, b)
+        while ia < ja and ib < jb:
             ax0, ax1, ay = a[ia]
             bx0, bx1, by = b[ib]
             if ax1 <= bx0:
@@ -256,10 +388,13 @@ class Region:
                 ib += 1
                 continue
             i = j = 0
-            while i < len(ay) and j < len(by):
-                if max(ay[i][0], by[j][0]) < min(ay[i][1], by[j][1]):
+            na, nb = len(ay), len(by)
+            while i < na and j < nb:
+                a0, a1 = ay[i]
+                b0, b1 = by[j]
+                if a0 < b1 and b0 < a1:
                     return True
-                if ay[i][1] <= by[j][1]:
+                if a1 <= b1:
                     i += 1
                 else:
                     j += 1
@@ -296,7 +431,7 @@ class Region:
         if d == 0 and dy == 0:
             return self
         if d >= 0 and dy >= 0:
-            return Region([r.expanded(d, dy) for r in self.rects()])
+            return Region._from_slabs(_dilated(self._slabs, d, dy))
         if d <= 0 and dy <= 0:
             return self._eroded(-d, -dy)
         # mixed signs: do the two axes sequentially
@@ -330,12 +465,14 @@ class Region:
 
     # -- structure --------------------------------------------------------
     def components(self) -> list["Region"]:
-        """Split into 4-connected components (edge adjacency, not corners)."""
-        rect_list = list(self.rects())
-        n = len(rect_list)
-        if n == 0:
-            return []
-        parent = list(range(n))
+        """Split into 4-connected components (edge adjacency, not corners).
+
+        Components come in the canonical order of their first rectangle.
+        """
+        slabs = self._slabs
+        # ids number the intervals in canonical order, slab by slab; the
+        # intervals of one slab never touch, so only x-adjacent slabs connect
+        parent = list(range(len(self)))
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -343,26 +480,37 @@ class Region:
                 i = parent[i]
             return i
 
-        def join(i: int, j: int) -> None:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-
-        # canonical rects only touch along slab boundaries (vertical edges)
-        # or within the same slab never touch; sort by x0 and match edges.
-        by_x0: dict[int, list[int]] = {}
-        for idx, r in enumerate(rect_list):
-            by_x0.setdefault(r.x0, []).append(idx)
-        for idx, r in enumerate(rect_list):
-            for jdx in by_x0.get(r.x1, []):
-                other = rect_list[jdx]
-                # shared vertical edge with overlapping y-span (not corner)
-                if min(r.y1, other.y1) > max(r.y0, other.y0):
-                    join(idx, jdx)
-        groups: dict[int, list[Rect]] = {}
-        for idx in range(n):
-            groups.setdefault(find(idx), []).append(rect_list[idx])
-        return [Region(g) for g in groups.values()]
+        base = 0
+        for (_, xb, ys), (xa, _, zs) in zip(slabs, slabs[1:]):
+            nxt = base + len(ys)
+            if xb == xa:
+                # one merge walk joins intervals sharing a vertical edge
+                # of positive length (a shared corner does not connect)
+                i = j = 0
+                ni, nj = len(ys), len(zs)
+                while i < ni and j < nj:
+                    a0, a1 = ys[i]
+                    b0, b1 = zs[j]
+                    if a0 < b1 and b0 < a1:
+                        ri, rj = find(base + i), find(nxt + j)
+                        if ri != rj:
+                            parent[rj] = ri
+                    if a1 <= b1:
+                        i += 1
+                    else:
+                        j += 1
+            base = nxt
+        groups: dict[int, list[Slab]] = {}
+        k = 0
+        for xa, xb, ys in slabs:
+            for iv in ys:
+                part = groups.setdefault(find(k), [])
+                if part and part[-1][0] == xa:
+                    part[-1][2].append(iv)
+                else:
+                    part.append((xa, xb, [iv]))
+                k += 1
+        return [Region._from_slabs(_merge_slabs(part)) for part in groups.values()]
 
     def holes(self) -> "Region":
         """Interior holes: areas enclosed by the region but not part of it."""
@@ -374,13 +522,17 @@ class Region:
         # the component of `outside` touching the frame border is the true
         # outside; everything else is a hole
         hole_parts = [c for c in outside.components() if not _touches_frame(c, frame)]
-        result = Region()
-        for c in hole_parts:
-            result = result | c
-        return result
+        # one-pass union: the components are disjoint, so their canonical
+        # rects already are
+        return Region([r for c in hole_parts for r in c.rects()])
 
     def clipped(self, window: Rect) -> "Region":
-        """Intersection with a rectangular window (fast path)."""
+        """Intersection with a rectangular window (fast path).
+
+        The intersection bisects this region's slabs down to the window's
+        x-range, so the cost follows the slabs inside the window, not the
+        size of the region.
+        """
         return self & Region(window)
 
     def edges(self) -> list[tuple[Point, Point]]:

@@ -3,9 +3,10 @@
 Both directions are vectorized: :func:`rasterize` scatters each
 rectangle's separable coverage profile into a 2-D difference array (a
 constant number of ``np.add.at`` updates per rectangle, then one
-inclusive 2-D prefix sum), and :func:`raster_to_region` extracts every
-row's True-runs from a single whole-array transition scan instead of a
-Python loop per row.
+inclusive 2-D prefix sum), and :func:`raster_to_region` builds the
+region's canonical slabs directly: runs of identical pixel columns are
+the slabs, and one whole-array transition scan over one column per slab
+gives every slab's y-intervals.
 
 Coverage is accumulated in *integer* area units (nm² — all layout
 coordinates are integers) and divided by the pixel area exactly once at
@@ -79,23 +80,37 @@ def rasterize(region: Region, window: Rect, grid: int) -> np.ndarray:
 
 
 def raster_to_region(mask: np.ndarray, window: Rect, grid: int) -> Region:
-    """Convert a boolean raster back into a Region (pixel-resolution)."""
+    """Convert a boolean raster back into a Region (pixel-resolution).
+
+    Builds canonical slabs straight from the mask: each run of identical
+    pixel columns is one slab, and one vertical-run scan of its first
+    column gives the slab's y-intervals.  Pixels on the window's high
+    edges are clipped to the window, as the raster was.
+    """
     ny, nx = mask.shape
     if ny == 0 or nx == 0 or not mask.any():
         return Region()
-    # one whole-array transition scan: +1 marks a run start, -1 the pixel
-    # after a run end; np.nonzero is row-major, so starts and ends align
-    # pairwise and arrive already sorted by (row, column)
-    transitions = np.diff(mask.astype(np.int8), axis=1, prepend=0, append=0)
-    jj, ii = np.nonzero(transitions)
-    rising = transitions[jj, ii] > 0
-    j_start, i_start = jj[rising], ii[rising]
-    i_stop = ii[~rising]
-    x0w, y0w = window.x0, window.y0
-    x0 = x0w + i_start * grid
-    x1 = np.minimum(x0w + i_stop * grid, window.x1)
-    y0 = y0w + j_start * grid
-    y1 = np.minimum(y0 + grid, window.y1)
-    return Region(
-        [Rect(int(a), int(b), int(c), int(d)) for a, b, c, d in zip(x0, y0, x1, y1)]
+    # a column starts a new slab where it differs from its left neighbour
+    starts = np.flatnonzero(
+        np.concatenate(([True], (mask[:, 1:] != mask[:, :-1]).any(axis=0)))
     )
+    stops = np.append(starts[1:], nx)
+    # one whole-array transition scan over the slabs' columns: +1 marks a
+    # run start, -1 the pixel after a run end; np.nonzero is row-major, so
+    # starts and ends align pairwise, grouped by slab and sorted by row
+    transitions = np.diff(mask[:, starts].T.astype(np.int8), axis=1, prepend=0, append=0)
+    kk, jj = np.nonzero(transitions)
+    rising = transitions[kk, jj] > 0
+    per_slab = np.bincount(kk[rising], minlength=len(starts)).tolist()
+    y0 = (window.y0 + jj[rising] * grid).tolist()
+    y1 = np.minimum(window.y0 + jj[~rising] * grid, window.y1).tolist()
+    x0 = (window.x0 + starts * grid).tolist()
+    x1 = np.minimum(window.x0 + stops * grid, window.x1).tolist()
+    intervals = list(zip(y0, y1))
+    slabs = []
+    pos = 0
+    for xa, xb, n in zip(x0, x1, per_slab):
+        if n:
+            slabs.append((xa, xb, intervals[pos : pos + n]))
+            pos += n
+    return Region._from_slabs(slabs)

@@ -7,7 +7,7 @@ from repro.extract import (
     electrical_hotspot_impact,
     extract_nets,
 )
-from repro.geometry import Point, Rect
+from repro.geometry import Point, Rect, Region
 from repro.layout import Cell
 from repro.litho.hotspots import Hotspot, HotspotKind
 from repro.litho.process import ProcessCondition
@@ -81,6 +81,19 @@ class TestGeneratedDesigns:
         assert netlist.same_net(
             (L.metal1, Point(10, 30)), (L.metal1, Point(bb.x1 - 10, 30))
         )
+
+    def test_net_region_is_union_of_net_components(self, tech45):
+        chain = via_chain(tech45, 10)
+        netlist = extract_nets(chain.flattened(), tech45)
+        L = tech45.layers
+        net = netlist.net_of(L.metal1, Point(10, 30))
+        for layer in (L.metal1, L.metal2):
+            expected = Region()
+            for node in netlist.nodes_of_net(net):
+                if node.layer == layer:
+                    expected = expected | netlist.components[layer][node.index]
+            assert len(expected.components()) > 1
+            assert netlist.net_region(net, layer) == expected
 
     def test_router_connectivity(self, small_block, tech45):
         """Every routed net is electrically closed — the router's

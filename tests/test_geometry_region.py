@@ -174,6 +174,13 @@ class TestStructure:
     def test_no_holes(self):
         assert R((0, 0, 10, 10)).holes().is_empty
 
+    def test_holes_several(self):
+        plate = R((0, 0, 100, 50))
+        cutouts = R((10, 10, 20, 20), (30, 10, 40, 40), (30, 5, 35, 45), (60, 20, 90, 30))
+        holes = (plate - cutouts).holes()
+        assert holes == cutouts
+        assert len(holes.components()) == 3
+
     def test_perimeter_square(self):
         assert R((0, 0, 10, 10)).perimeter() == 40
 

@@ -1,6 +1,7 @@
 """Property-based tests: Region boolean algebra laws, morphology
 invariants, canonical-form uniqueness."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Rect, Region
@@ -121,3 +122,168 @@ def test_components_partition(a):
 def test_bbox_contains_region(a):
     if a.bbox is not None:
         assert Region(a.bbox).covers(a)
+
+
+# -- differential oracles for the slab kernel ---------------------------------
+#
+# Every reference below is built only from the general ``Region(rects)``
+# constructor (its plane sweep over an arbitrary rect soup), never from the
+# slab-native boolean, dilation or component code it checks.
+
+wide_rect_strategy = st.tuples(
+    st.integers(-1000, 1000), st.integers(-1000, 1000), st.integers(1, 400), st.integers(1, 400)
+).map(lambda t: Rect(t[0], t[1], t[0] + t[2], t[1] + t[3]))
+
+wide_region_strategy = st.lists(wide_rect_strategy, min_size=1, max_size=20).map(Region)
+
+# coarse-lattice soups: shared edges and corner-only contacts are common
+lattice_rect_strategy = st.tuples(
+    st.integers(0, 6), st.integers(0, 6), st.integers(1, 3), st.integers(1, 3)
+).map(lambda t: Rect(10 * t[0], 10 * t[1], 10 * (t[0] + t[2]), 10 * (t[1] + t[3])))
+
+lattice_region_strategy = st.lists(lattice_rect_strategy, max_size=8).map(Region)
+
+any_region_strategy = st.one_of(region_strategy, lattice_region_strategy, wide_region_strategy)
+
+
+@st.composite
+def wide_and_small(draw):
+    """A soup spanning +-1000 nm against a small region that overlaps it,
+    touches it at an x boundary, or is disjoint from it in x."""
+    wide = draw(wide_region_strategy)
+    bb = wide.bbox
+    placement = draw(st.sampled_from(["inside", "touch_left", "touch_right", "disjoint"]))
+    w = draw(st.integers(1, 60))
+    if placement == "inside":
+        x0 = draw(st.integers(bb.x0 - 30, bb.x1))
+    elif placement == "touch_left":
+        x0 = bb.x0 - w
+    elif placement == "touch_right":
+        x0 = bb.x1
+    else:
+        gap = draw(st.integers(1, 50))
+        x0 = draw(st.sampled_from([bb.x0 - w - gap, bb.x1 + gap]))
+    y0 = draw(st.integers(bb.y0 - 30, bb.y1))
+    extra = draw(st.lists(st.one_of(rect_strategy, lattice_rect_strategy), max_size=2))
+    small = Region(
+        [Rect(x0, y0, x0 + w, y0 + draw(st.integers(1, 60)))]
+        + [r.translated(x0, y0) for r in extra if placement == "inside"]
+    )
+    return (wide, small) if draw(st.booleans()) else (small, wide)
+
+
+def _coverage(*regions: Region) -> tuple[list[int], list[int], list[np.ndarray]]:
+    """The grid cut at every rect coordinate of ``regions``, and each
+    region's cell coverage on it (a cell lies entirely inside or entirely
+    outside every canonical rect)."""
+    rects = [list(r.rects()) for r in regions]
+    xs = sorted({x for rs in rects for r in rs for x in (r.x0, r.x1)})
+    ys = sorted({y for rs in rects for r in rs for y in (r.y0, r.y1)})
+    xi = {x: i for i, x in enumerate(xs)}
+    yi = {y: j for j, y in enumerate(ys)}
+    masks = []
+    for rs in rects:
+        mask = np.zeros((max(len(xs) - 1, 0), max(len(ys) - 1, 0)), dtype=bool)
+        for r in rs:
+            mask[xi[r.x0] : xi[r.x1], yi[r.y0] : yi[r.y1]] = True
+        masks.append(mask)
+    return xs, ys, masks
+
+
+def _cells_region(xs: list[int], ys: list[int], keep: np.ndarray) -> Region:
+    ii, jj = np.nonzero(keep)
+    return Region(
+        [Rect(xs[i], ys[j], xs[i + 1], ys[j + 1]) for i, j in zip(ii.tolist(), jj.tolist())]
+    )
+
+
+def _reference(a: Region, b: Region, keep) -> Region:
+    xs, ys, (ma, mb) = _coverage(a, b)
+    return _cells_region(xs, ys, keep(ma, mb))
+
+
+def _reference_complement(a: Region, frame: Rect) -> Region:
+    return _reference(Region(frame), a, lambda inside, x: inside & ~x)
+
+
+def _reference_eroded(a: Region, d: int, dy: int) -> Region:
+    """Complement-dilate-complement, every step through the constructor."""
+    bb = a.bbox
+    if bb is None:
+        return Region()
+    frame = Rect(bb.x0 - d - 1, bb.y0 - dy - 1, bb.x1 + d + 1, bb.y1 + dy + 1)
+    outside = _reference_complement(a, frame)
+    grown = Region([r.expanded(d, dy) for r in outside.rects()])
+    return _reference_complement(grown, frame)
+
+
+def _reference_components(a: Region) -> list[Region]:
+    """Union-find over canonical rects joined along shared vertical edges."""
+    rect_list = list(a.rects())
+    parent = list(range(len(rect_list)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    by_x0: dict[int, list[int]] = {}
+    for idx, r in enumerate(rect_list):
+        by_x0.setdefault(r.x0, []).append(idx)
+    for idx, r in enumerate(rect_list):
+        for jdx in by_x0.get(r.x1, []):
+            other = rect_list[jdx]
+            if min(r.y1, other.y1) > max(r.y0, other.y0):
+                parent[find(jdx)] = find(idx)
+    groups: dict[int, list[Rect]] = {}
+    for idx, r in enumerate(rect_list):
+        groups.setdefault(find(idx), []).append(r)
+    return [Region(g) for g in groups.values()]
+
+
+# half of a lattice gap: grown lattice features then exactly touch
+growth_strategy = st.one_of(st.integers(0, 40), st.sampled_from([5, 10, 15]))
+
+
+@given(any_region_strategy, growth_strategy, growth_strategy)
+def test_grown_matches_rect_expansion(a, d, dy):
+    assert a.grown(d, dy) == Region([r.expanded(d, dy) for r in a.rects()])
+
+
+@given(st.one_of(region_strategy, lattice_region_strategy), st.integers(1, 12), st.integers(0, 12))
+@settings(max_examples=60)
+def test_eroded_matches_constructor_reference(a, d, dy):
+    assert a.grown(-d, -dy) == _reference_eroded(a, d, dy)
+
+
+@given(st.one_of(region_strategy, lattice_region_strategy), st.integers(1, 12))
+@settings(max_examples=60)
+def test_opened_matches_constructor_reference(a, d):
+    eroded = _reference_eroded(a, d, d)
+    assert a.opened(d) == Region([r.expanded(d, d) for r in eroded.rects()])
+
+
+@given(any_region_strategy)
+def test_components_match_rect_union_find(a):
+    assert a.components() == _reference_components(a)
+
+
+@given(wide_and_small())
+@settings(max_examples=150)
+def test_wide_operand_booleans_match_constructor(pair):
+    a, b = pair
+    assert a & b == _reference(a, b, lambda x, y: x & y)
+    assert a - b == _reference(a, b, lambda x, y: x & ~y)
+    assert b - a == _reference(a, b, lambda x, y: y & ~x)
+    assert a | b == _reference(a, b, lambda x, y: x | y)
+    assert a ^ b == _reference(a, b, lambda x, y: x ^ y)
+
+
+@given(wide_and_small())
+@settings(max_examples=150)
+def test_wide_operand_predicates_match_constructor(pair):
+    a, b = pair
+    assert a.overlaps(b) == (not _reference(a, b, lambda x, y: x & y).is_empty)
+    assert a.covers(b) == _reference(a, b, lambda x, y: y & ~x).is_empty
+    assert b.covers(a) == _reference(a, b, lambda x, y: x & ~y).is_empty

@@ -3,6 +3,7 @@ CD metrology, process windows, and hotspot detection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.geometry import Point, Rect, Region
 from repro.litho import (
@@ -19,6 +20,59 @@ from repro.litho import (
 )
 from repro.litho.cd import line_end_pullback, measure_space, subpixel_cd
 from repro.litho.process import pv_band_area
+
+
+def _row_run_region(mask: np.ndarray, window: Rect, grid: int) -> Region:
+    """Reference contour: one rect per pixel-row run, merged by the general
+    ``Region(rects)`` constructor."""
+    ny, nx = mask.shape
+    if ny == 0 or nx == 0 or not mask.any():
+        return Region()
+    transitions = np.diff(mask.astype(np.int8), axis=1, prepend=0, append=0)
+    jj, ii = np.nonzero(transitions)
+    rising = transitions[jj, ii] > 0
+    j_start, i_start = jj[rising], ii[rising]
+    i_stop = ii[~rising]
+    x0 = window.x0 + i_start * grid
+    x1 = np.minimum(window.x0 + i_stop * grid, window.x1)
+    y0 = window.y0 + j_start * grid
+    y1 = np.minimum(y0 + grid, window.y1)
+    return Region(
+        [Rect(int(a), int(b), int(c), int(d)) for a, b, c, d in zip(x0, y0, x1, y1)]
+    )
+
+
+@st.composite
+def raster_cases(draw):
+    """A boolean mask and the window it rasterizes: random, striped
+    (runs of repeated columns), empty, full or single-pixel, on a window
+    whose last column and row may be clipped short of a whole pixel."""
+    ny, nx = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["random", "striped", "empty", "full", "single"]))
+    mask = np.zeros((ny, nx), dtype=bool)
+    if kind == "random":
+        bits = draw(st.lists(st.booleans(), min_size=ny * nx, max_size=ny * nx))
+        mask = np.array(bits, dtype=bool).reshape(ny, nx)
+    elif kind == "striped" and nx:
+        column = st.lists(st.booleans(), min_size=ny, max_size=ny)
+        columns = draw(st.lists(column, min_size=2, max_size=2))
+        picks = draw(st.lists(st.integers(0, 1), min_size=nx, max_size=nx))
+        mask = np.array([columns[k] for k in picks], dtype=bool).reshape(nx, ny).T
+    elif kind == "full":
+        mask[:] = True
+    elif kind == "single" and ny and nx:
+        mask[draw(st.integers(0, ny - 1)), draw(st.integers(0, nx - 1))] = True
+    grid = draw(st.integers(1, 8))
+    x0, y0 = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+    w = nx * grid - draw(st.integers(0, grid - 1)) if nx else 0
+    h = ny * grid - draw(st.integers(0, grid - 1)) if ny else 0
+    return mask, Rect(x0, y0, x0 + w, y0 + h), grid
+
+
+@given(raster_cases())
+def test_raster_to_region_matches_row_runs(case):
+    mask, window, grid = case
+    assert raster_to_region(mask, window, grid) == _row_run_region(mask, window, grid)
 
 
 class TestRaster:
