@@ -375,8 +375,8 @@ def scan_full_chip(
     ``fast_path`` (the default) runs the layered aerial-image fast path:
     geometry is pre-binned into a spatial index so each tile touches only
     the rects inside its optical influence window, and each tile's corner
-    sweep reuses one mask raster and one blur per unique defocus (see
-    :class:`~repro.litho.model.SimCache`).  ``fast_path=False`` runs the
+    sweep reuses one mask raster and one FFT image per unique blur sigma
+    (see :class:`~repro.litho.model.SimCache`).  ``fast_path=False`` runs the
     legacy whole-chip-sweep-per-tile engine; both produce bit-identical
     reports and interchangeable tile-cache entries.
 

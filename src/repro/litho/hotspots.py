@@ -67,7 +67,7 @@ def find_hotspots(
     and filtering them keeps results window- and tiling-invariant.
 
     The corner sweep runs through a :class:`~repro.litho.model.SimCache`
-    (one rasterization, one blur per unique defocus) with indexed
+    (one rasterization, one FFT image per unique blur sigma) with indexed
     detection; ``use_cache=False`` runs the *reference engine* instead —
     one independent simulation per corner, pairwise detection and merge
     loops — an independent implementation that must produce identical

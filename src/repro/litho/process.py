@@ -58,11 +58,13 @@ def sweep_contours(
     """Printed contours at each condition, through one :class:`SimCache
     <repro.litho.model.SimCache>`.
 
-    The sweep rasterizes the mask once and blurs once per unique defocus,
-    so a five-corner set costs 1 rasterization + 4 Gaussian filters and a
-    5x3 :meth:`ProcessWindow.grid` sweep costs 1 + 6 (instead of 15 +
-    30).  ``use_cache=False`` falls back to one independent simulation
-    per condition — bit-identical output, for verification.
+    The sweep rasterizes the mask once and computes one FFT intensity
+    image per unique blur sigma (±defocus share one), so a five-corner
+    set costs 1 rasterization + 2 FFT convolutions and a 5x3
+    :meth:`ProcessWindow.grid` sweep costs 1 + 3 (instead of 15
+    rasterizations + 30 Gaussian filters).  ``use_cache=False`` falls
+    back to one independent scipy simulation per condition —
+    bit-identical output, for verification.
     """
     conditions = list(conditions)
     if use_cache:

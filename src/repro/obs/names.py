@@ -101,7 +101,12 @@ SCAN_TILE_SECONDS_HIST = "scan.tile_seconds"
 
 # -- aerial-image simulation (repro.litho.model) ----------------------
 SIM_RASTER_REUSE = "sim.raster_reuse"
+# One per unique-sigma intensity image a SimCache computes.
 SIM_BLUR_UNIQUE = "sim.blur_unique"
+# One per process condition whose FFT image left some pixel within its
+# error bound of the threshold, so those pixels were decided from the
+# scipy image instead.
+SIM_EXACT_FALLBACK = "sim.exact_fallback"
 
 # -- DRC engine (repro.drc.engine) ------------------------------------
 DRC_RUNS = "drc.runs"

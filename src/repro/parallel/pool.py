@@ -101,8 +101,37 @@ def _init_worker(
         payload = payload.inner
     _PAYLOAD = payload
     _FAULTS = faults
+    _pin_worker()
     if obs_enabled:
         get_registry().enable()
+
+
+def _pin_worker() -> None:
+    """Bind this pool worker to one of the CPUs the process may use, a
+    different one for each worker of a pool while CPUs last.
+
+    A scheduler that does not spread freshly forked workers leaves them
+    on the CPU they were forked on: on a two-vCPU virtual machine two
+    workers starting their tiles together were seen sharing one CPU for
+    the whole tile while the other CPU idled, halving a pooled run's
+    speed at random.  Pool workers are numbered consecutively as they
+    are created, so ``number mod n`` spreads them.  Without
+    ``sched_setaffinity`` (not Linux) or with one usable CPU the worker
+    stays unpinned.
+    """
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return
+    # multiprocessing numbers each child process it creates (the number
+    # also ends the worker's name, e.g. ``ForkPoolWorker-3``)
+    identity = multiprocessing.current_process()._identity
+    if len(cpus) < 2 or not identity:
+        return
+    try:
+        os.sched_setaffinity(0, {cpus[identity[-1] % len(cpus)]})
+    except OSError:
+        pass  # the CPU went away or the sandbox forbids it: stay unpinned
 
 
 def _run_chunk(

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.designgen import LogicBlockSpec, generate_logic_block
+from repro.designgen import LogicBlockSpec, generate_logic_block, generate_sram_array
 from repro.geometry import Rect, Region
 from repro.litho import ProcessWindow, find_hotspots, pv_bands, scan_full_chip
 from repro.litho.fullchip import _ScanGeometry, _ScanPayload, _scan_params, _tile_key
 from repro.litho.hotspots import _min_feature_width
+from repro.obs import MetricsRegistry, names, set_registry
 from repro.parallel import TileCache, tile_grid
 
 
@@ -30,6 +32,15 @@ def fastpath_setup(tech45, stdlib45):
     model = LithoModel(tech45.litho)
     m1 = block.top.region(tech45.layers.metal1)
     return tech45, model, m1
+
+
+@pytest.fixture
+def registry():
+    """A fresh enabled registry installed process-wide for the test."""
+    fresh = MetricsRegistry(enabled=True)
+    previous = set_registry(fresh)
+    yield fresh
+    set_registry(previous)
 
 
 class TestSimCacheEquivalence:
@@ -78,6 +89,29 @@ class TestSimCacheEquivalence:
                 m1, window, c.dose, c.defocus_nm, grid
             )
 
+    @pytest.mark.parametrize("grid", [4, 8])
+    @pytest.mark.parametrize(
+        "window", [Rect(-400, -400, 402, 400), Rect(500, 0, 2502, 1201)]
+    )
+    def test_unaligned_window_identical(self, fastpath_setup, window, grid):
+        # a window that is not a whole number of pixels clips each halo's
+        # raster at that halo's own edge, so a narrower halo cannot be a
+        # slice of the widest raster
+        _, model, m1 = fastpath_setup
+        corners = ProcessWindow().corners()
+        sim = model.sim_cache(
+            m1, window, grid, defocus_hint=[c.defocus_nm for c in corners]
+        )
+        for c in corners:
+            assert np.array_equal(
+                sim.aerial_image(c.defocus_nm),
+                model.aerial_image(m1, window, c.defocus_nm, grid),
+            )
+            assert np.array_equal(
+                sim.print_image(c.dose, c.defocus_nm),
+                model.print_image(m1, window, c.dose, c.defocus_nm, grid),
+            )
+
     def test_plus_minus_defocus_share_one_blur(self, fastpath_setup):
         # sigma combines defocus in quadrature, so ±d collapse to one
         # cached image — and both match their direct simulations
@@ -88,6 +122,81 @@ class TestSimCacheEquivalence:
         b = sim.aerial_image(-60.0)
         assert a is b
         assert np.array_equal(a, model.aerial_image(m1, window, -60.0))
+
+
+@st.composite
+def print_cases(draw):
+    """A rect soup, a window that may end mid-pixel, a grid and one
+    (dose, defocus) condition."""
+    grid = draw(st.sampled_from([1, 2, 4, 5, 8]))
+    boxes = st.tuples(
+        st.integers(-300, 300), st.integers(-300, 300),
+        st.integers(4, 240), st.integers(4, 240),
+    )
+    rects = draw(st.lists(boxes, min_size=1, max_size=8))
+    span = 60 if grid == 1 else 240  # keeps the grid-1 rasters small
+    x0, y0 = draw(st.integers(-200, 100)), draw(st.integers(-200, 100))
+    window = Rect(
+        x0, y0, x0 + draw(st.integers(1, span)), y0 + draw(st.integers(1, span))
+    )
+    dose = draw(st.sampled_from([0.9, 0.95, 1.0, 1.05, 1.1]))
+    defocus = draw(st.sampled_from([0.0, 40.0, -80.0]))
+    mask = Region([Rect(x, y, x + w, y + h) for x, y, w, h in rects])
+    return mask, window, grid, dose, defocus
+
+
+class TestCertifiedPrint:
+    """SimCache.print_image thresholds an FFT image, certified against
+    the scipy image: every printed pixel must still match the model."""
+
+    @given(print_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, litho45, case):
+        mask, window, grid, dose, defocus = case
+        # the hint makes aligned windows serve narrower halos as slices
+        sim = litho45.sim_cache(mask, window, grid, defocus_hint=[0.0, 80.0, defocus])
+        assert np.array_equal(
+            sim.print_image(dose, defocus),
+            litho45.print_image(mask, window, dose, defocus, grid),
+        )
+
+    def test_threshold_ties_fall_back_to_scipy(self, litho45, registry):
+        # a long straight edge through pixel centres images at the
+        # threshold there (0.5 at dose 1): the FFT cannot certify those
+        # pixels, so they are decided from the scipy image
+        half_plane = Region(Rect(-5000, -5000, 202, 5000))
+        window = Rect(0, 0, 400, 1600)
+        sim = litho45.sim_cache(half_plane, window, 4)
+        printed = sim.print_image(1.0, 0.0)
+        assert registry.counter(names.SIM_EXACT_FALLBACK) == 1
+        assert np.array_equal(
+            printed, litho45.print_image(half_plane, window, 1.0, 0.0, 4)
+        )
+
+    def test_designs_need_no_fallback(self, tech45, stdlib45, litho45, registry):
+        # a quick-size logic block and an SRAM window: no pixel comes
+        # near the error bound, which sits far above the observed error
+        spec = LogicBlockSpec(rows=2, row_width_nm=6000, net_count=8, weak_spots=4, seed=7)
+        block = generate_logic_block(tech45, spec, stdlib45).top
+        sram = generate_sram_array(tech45, rows=12, cols=12).top_cell()
+        m1 = tech45.layers.metal1
+        corners = ProcessWindow().corners()
+        for cell in (block, sram):
+            region = cell.region(m1)
+            report = scan_full_chip(litho45, region, tile_nm=3000)
+            assert report.tiles > 1
+            bb = region.bbox
+            window = Rect(bb.x0 + 300, bb.y0 + 300, bb.x0 + 2303, bb.y0 + 1802)
+            sim = litho45.sim_cache(
+                region, window, defocus_hint=[c.defocus_nm for c in corners]
+            )
+            for c in corners:
+                sim.print_image(c.dose, c.defocus_nm)
+                image, delta = sim._fft_image(c.defocus_nm)
+                error = np.abs(image - sim.aerial_image(c.defocus_nm)).max()
+                assert error * 1000 <= delta
+        assert registry.counter(names.SIM_BLUR_UNIQUE) > 0
+        assert registry.counter(names.SIM_EXACT_FALLBACK) == 0
 
 
 class TestSweepEquivalence:

@@ -4,6 +4,7 @@ CD metrology, process windows, and hotspot detection."""
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.ndimage import gaussian_filter1d
 
 from repro.geometry import Point, Rect, Region
 from repro.litho import (
@@ -19,6 +20,7 @@ from repro.litho import (
     simulate,
 )
 from repro.litho.cd import line_end_pullback, measure_space, subpixel_cd
+from repro.litho.model import _gaussian_taps
 from repro.litho.process import pv_band_area
 
 
@@ -160,6 +162,18 @@ class TestAerialImage:
     def test_simulate_convenience(self, tech45):
         printed = simulate(Region(Rect(0, 0, 100, 500)), Rect(-50, 200, 150, 300), tech45.litho)
         assert not printed.is_empty
+
+    @pytest.mark.parametrize("grid", [1, 4, 5, 8])
+    @pytest.mark.parametrize("defocus", [0.0, 80.0])
+    def test_local_taps_are_scipys(self, litho45, defocus, grid):
+        # gaussian_filter1d's response to a unit impulse is its taps, at
+        # both sigmas the model blurs with
+        sigma_px = litho45.blur_sigma_nm(defocus) / grid
+        for sigma in (sigma_px, sigma_px * litho45.flare_ratio):
+            taps = _gaussian_taps(sigma)
+            impulse = np.zeros(len(taps))
+            impulse[len(taps) // 2] = 1.0
+            assert np.array_equal(taps, gaussian_filter1d(impulse, sigma, mode="constant"))
 
     def test_invalid_dose(self, litho45):
         with pytest.raises(ValueError):

@@ -8,6 +8,9 @@ engine: the corner-drop bug in full-chip scan ownership.
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
 from repro.designgen import LogicBlockSpec, generate_logic_block
@@ -22,6 +25,11 @@ from repro.parallel.cache import digest_parts
 
 def _double(payload, item):
     return payload * item
+
+
+def _placement(payload, item):
+    time.sleep(0.02)  # long enough that every worker takes some items
+    return os.getpid(), tuple(sorted(os.sched_getaffinity(0)))
 
 
 class TestTileGrid:
@@ -103,6 +111,23 @@ class TestTileExecutor:
 
     def test_zero_jobs_resolves_to_cpu_count(self):
         assert TileExecutor(jobs=0).jobs >= 1
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs sched_setaffinity and at least two usable CPUs",
+    )
+    def test_workers_pinned_to_distinct_cpus(self):
+        # each worker runs on one CPU and no two workers share one, so a
+        # scheduler that never spreads forked workers cannot stack them
+        allowed = os.sched_getaffinity(0)
+        jobs = min(len(allowed), 4)
+        out = TileExecutor(jobs=jobs, chunk_size=1).map(_placement, None, range(8 * jobs))
+        cpu_of = {}
+        for pid, cpus in out:
+            assert len(cpus) == 1 and cpus[0] in allowed
+            cpu_of[pid] = cpus[0]
+        assert len(set(cpu_of.values())) == len(cpu_of)
+        assert os.sched_getaffinity(0) == allowed  # the parent stays unpinned
 
 
 class TestRegionDigest:

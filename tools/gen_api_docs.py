@@ -1,18 +1,25 @@
 """Generate docs/API.md from the package's docstrings.
 
-Usage:  python tools/gen_api_docs.py
+Usage:  python tools/gen_api_docs.py            # rewrite docs/API.md
+        python tools/gen_api_docs.py --check    # exit 1 if it is stale
 
 Walks every ``repro`` subpackage, collects the public symbols each
 exports, and emits a structured markdown reference: package docstring,
 then one entry per public class/function with its signature and the first
-paragraph of its docstring.
+paragraph of its docstring.  ``--check`` writes nothing: it compares the
+generated text with the committed file and, when they differ, names the
+first differing line and exits 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
+import sys
 from pathlib import Path
+
+TARGET = Path(__file__).resolve().parent.parent / "docs" / "API.md"
 
 PACKAGES = [
     "repro",
@@ -84,7 +91,8 @@ def document_symbol(name: str, obj) -> list[str]:
     return out
 
 
-def main() -> None:
+def render() -> str:
+    """The full text of docs/API.md."""
     lines = [
         "# repro API reference",
         "",
@@ -108,11 +116,45 @@ def main() -> None:
             obj = getattr(module, name)
             lines.extend(document_symbol(name, obj))
         lines.append("")
-    target = Path(__file__).resolve().parent.parent / "docs" / "API.md"
-    target.parent.mkdir(exist_ok=True)
-    target.write_text("\n".join(lines))
-    print(f"wrote {target} ({len(lines)} lines)")
+    return "\n".join(lines)
+
+
+def check(text: str) -> int:
+    """0 when docs/API.md equals ``text``; else name the first differing
+    line and return 1."""
+    current = TARGET.read_text() if TARGET.exists() else ""
+    if current == text:
+        print(f"{TARGET} is up to date")
+        return 0
+    want, have = text.splitlines(), current.splitlines()
+    for lineno, (a, b) in enumerate(zip(want, have), start=1):
+        if a != b:
+            break
+    else:
+        lineno = min(len(want), len(have)) + 1
+    print(f"{TARGET} is stale; first difference at line {lineno}:")
+    print(f"  committed: {have[lineno - 1] if lineno <= len(have) else '<end of file>'}")
+    print(f"  generated: {want[lineno - 1] if lineno <= len(want) else '<end of file>'}")
+    print("regenerate it with: python tools/gen_api_docs.py")
+    return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Generate docs/API.md from docstrings.")
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; exit 1 if docs/API.md differs from the generated text",
+    )
+    args = parser.parse_args(argv)
+    text = render()
+    if args.check:
+        return check(text)
+    TARGET.parent.mkdir(exist_ok=True)
+    TARGET.write_text(text)
+    print(f"wrote {TARGET} ({len(text.splitlines())} lines)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
