@@ -11,8 +11,8 @@ Expected shape: tile sizes 2, 3, and 6 um agree on the hotspot count to
 within seam-merge jitter (a couple of markers), runtime per simulated
 area stays flat, and the incremental row shows a 100% hit rate.  The
 ``parallel_speedup_x4`` / ``incremental_hit_rate`` values land in the
-benchmark JSON (``extra_info``) so the perf trajectory is tracked in
-``BENCH_*.json`` across PRs.
+pytest-benchmark JSON (``extra_info``), which CI's ``slow`` job uploads
+as ``bench-fullchip.json``.
 """
 
 import os
@@ -119,9 +119,9 @@ def test_a3f_fastpath_ablation(benchmark, tech45, stdlib45, obs_registry):
     rasterizer serves both engines, so the old-code baseline was slower
     still).  Both engines must report the identical hotspot population;
     the speedup, the raster-reuse rate, and the per-tile cache-key cost
-    land in ``extra_info`` so ``BENCH_*.json`` tracks the fast path
-    across PRs.  The block is the wide a3p one: geometry windowing only
-    shows its O(chip) -> O(tile) win when the chip is many tiles wide.
+    land in ``extra_info``.  The block is the wide a3p one: geometry
+    windowing only shows its O(chip) -> O(tile) win when the chip is
+    many tiles wide.
     """
     from repro.designgen import LogicBlockSpec, generate_logic_block
     from repro.geometry import GridIndex, Rect

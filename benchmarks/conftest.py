@@ -33,9 +33,8 @@ def obs_registry(benchmark):
 
     Whatever the instrumented engines record during the bench lands in
     the benchmark JSON (``extra_info["metrics.counters"]`` and the
-    per-stage timer totals) so ``BENCH_*.json`` tracks engine-level
-    counts — tiles simulated, cache hits, OPC iterations — alongside
-    wall-clock numbers across PRs.
+    per-stage timer totals), so it carries engine-level counts — tiles
+    simulated, cache hits, OPC iterations — alongside wall-clock numbers.
     """
     from repro.obs import MetricsRegistry, get_registry, set_registry
 

@@ -194,10 +194,12 @@ def _hotspots_at_condition_reference(
     out: list[Hotspot] = []
     drawn_components = drawn.components()
 
-    # pinch (identical formulation to the indexed engine)
+    # pinch: the indexed engine's formulation, opened by the plain
+    # erode-then-dilate composition rather than the separable kernel
     printed_on_drawn = printed & drawn
     doubled = printed_on_drawn.scaled(2)
-    necked = doubled - doubled.opened(max(pinch_limit - 1, 1))
+    r = max(pinch_limit - 1, 1)
+    necked = doubled - doubled.grown(-r).grown(r)
     core = drawn.grown(-min(boundary_tol, _min_feature_width(drawn) // 2 - 1)).scaled(2) if not drawn.is_empty else Region()
     for comp in necked.components():
         if (comp & core).is_empty:

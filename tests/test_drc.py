@@ -60,6 +60,21 @@ class TestWidthCheck:
     def test_empty_region(self):
         assert check_width(Region(), self.rule) == []
 
+    def test_at_limit_along_x_plain_bar(self):
+        # a vertical bar is one slab; 1 nm under the limit that slab is
+        # exactly 2d wide in the doubled lattice
+        assert check_width(Region(Rect(0, 0, 45, 1000)), self.rule) == []
+        assert len(check_width(Region(Rect(0, 0, 44, 1000)), self.rule)) == 1
+
+    def test_at_limit_along_x_cut_bar(self):
+        # two far-off squares put x edges at 15 and 30 inside the bar,
+        # cutting it into slabs narrower than 2d: the bar's horizontal
+        # runs, not its slabs, decide
+        cutters = [Rect(15, 3000, 115, 3100), Rect(-70, -3100, 30, -3000)]
+        assert check_width(Region([Rect(0, 0, 45, 1000), *cutters]), self.rule) == []
+        violations = check_width(Region([Rect(0, 0, 44, 1000), *cutters]), self.rule)
+        assert [v.marker for v in violations] == [Rect(0, 0, 44, 1000)]
+
 
 class TestSpacingCheck:
     rule = SpacingRule("S", M, 45)

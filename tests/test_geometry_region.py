@@ -153,6 +153,31 @@ class TestMorphology:
         assert region.opened(5).opened(5) == region.opened(5)
         assert region.closed(5).closed(5) == region.closed(5)
 
+    def test_opening_drops_feature_exactly_2d_wide(self):
+        # exactly 2d wide erodes to a line: dropped, across x or across y
+        assert R((0, 0, 20, 100)).opened(10).is_empty
+        assert R((0, 0, 100, 20)).opened(10).is_empty
+        assert R((0, 0, 21, 100)).opened(10) == R((0, 0, 21, 100))
+
+    def test_opening_merges_regrown_runs(self):
+        # a Z: the 15-wide bar's band between the plates is a short run,
+        # dropped; the bar's runs below and above regrow into one interval
+        z = R((0, 0, 40, 40), (40, 0, 55, 90), (55, 30, 100, 90))
+        assert z.opened(10) == z
+
+    def test_negative_size_rejected(self):
+        # opened(-3) used to run a closing and closed(-3) an opening
+        two = R((0, 0, 10, 100), (16, 0, 26, 100))
+        with pytest.raises(ValueError):
+            two.opened(-3)
+        with pytest.raises(ValueError):
+            two.closed(-3)
+
+    def test_zero_size_is_identity(self):
+        two = R((0, 0, 10, 100), (16, 0, 26, 100))
+        assert two.opened(0) == two
+        assert two.closed(0) == two
+
 
 class TestStructure:
     def test_components_edge_adjacency(self):

@@ -1,10 +1,13 @@
 """Property-based tests: Region boolean algebra laws, morphology
 invariants, canonical-form uniqueness."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Rect, Region
+from repro.geometry import region as region_module
 
 rect_strategy = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 30), st.integers(1, 30)
@@ -262,6 +265,29 @@ def test_eroded_matches_constructor_reference(a, d, dy):
 def test_opened_matches_constructor_reference(a, d):
     eroded = _reference_eroded(a, d, d)
     assert a.opened(d) == Region([r.expanded(d, d) for r in eroded.rects()])
+
+
+# half of a lattice feature 10, 20 or 30 wide: runs of exactly 2d occur
+opening_strategy = st.one_of(st.integers(1, 60), st.sampled_from([5, 10, 15]))
+
+
+@given(any_region_strategy, opening_strategy)
+@settings(max_examples=300)
+def test_opened_matches_grown_composition(a, d):
+    assert a.opened(d) == a.grown(-d).grown(d)
+
+
+@given(
+    st.one_of(wide_region_strategy, lattice_region_strategy),
+    opening_strategy,
+    st.sampled_from([1, 50, 500]),
+)
+@settings(max_examples=200)
+def test_opened_in_column_blocks_matches_grown_composition(a, d, cells):
+    """A cell budget down to one grid column per block splits the
+    opening into many extended blocks; the result must not change."""
+    with mock.patch.object(region_module, "_OPEN_CELLS", cells):
+        assert a.opened(d) == a.grown(-d).grown(d)
 
 
 @given(any_region_strategy)

@@ -1,1 +1,1 @@
-"""Repository tooling: benchmarking snapshots, doc generation, linting."""
+"""Repository tooling: API reference generation and the repro-lint analyzer."""
