@@ -49,7 +49,6 @@ from repro.core.report import BaseReport
 # engines
 from repro.parallel import (
     AbortRun,
-    Checkpoint,
     FaultPlan,
     QuarantinedTile,
     Tile,
@@ -132,7 +131,7 @@ __all__ = [
     "MetricsRegistry", "RunManifest", "get_registry", "get_tracer", "span",
     "api", "BaseReport",
     "Tile", "TileCache", "TileExecutor", "tile_grid",
-    "AbortRun", "Checkpoint", "FaultPlan", "QuarantinedTile",
+    "AbortRun", "FaultPlan", "QuarantinedTile",
     "run_drc", "DrcReport", "Violation", "score_recommended_rules", "DfmScore",
     "PatternCatalog", "PatternMatcher", "extract_patterns",
     "via_enclosure_catalog", "kl_divergence", "cluster_snippets",

@@ -13,7 +13,7 @@ technique implementations, which themselves build on those engines.
 
 from importlib import import_module
 
-from repro.core.report import BaseReport, deprecated_alias, jsonable
+from repro.core.report import BaseReport, jsonable
 
 # Lazy exports (PEP 562): name -> defining submodule.  Resolved on first
 # attribute access, after which the value is cached in module globals.
@@ -39,7 +39,6 @@ _LAZY = {
 
 __all__ = [
     "BaseReport",
-    "deprecated_alias",
     "jsonable",
     *_LAZY,
 ]

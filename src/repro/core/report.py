@@ -6,8 +6,8 @@ its own field names and serialization; :class:`BaseReport` is the
 compatibility contract they all implement now:
 
 * ``ok`` — True when the run is clean: no findings and no quarantined
-  tiles.  The canonical health check (replaces the ad-hoc ``is_clean``
-  / ``passed`` spellings, which remain as deprecated aliases).
+  tiles.  The one health check (it replaced the ad-hoc ``is_clean`` /
+  ``passed`` spellings).
 * ``findings`` / ``findings_count`` — the engine's findings (violations,
   hotspots, opens/shorts, ...) as a sequence and a count.
 * ``to_dict()`` / ``to_json()`` — deterministic JSON-able serialization
@@ -16,9 +16,7 @@ compatibility contract they all implement now:
 
 Field-naming conventions for tiled engines: ``tiles``, ``tiles_computed``,
 ``tiles_cached``, ``tiles_resumed``, ``quarantined``, ``compute_s``,
-``elapsed_s``.  Renamed legacy attributes (``elapsed_seconds``,
-``compute_seconds``, ``is_clean``, ``passed``) are kept as properties
-that forward to the new name and raise a :class:`DeprecationWarning`.
+``elapsed_s``.
 
 This module is dependency-free on purpose: any subpackage may import it
 without risking an import cycle.
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from enum import Enum
 from typing import Any, Sequence
 
@@ -105,30 +102,3 @@ class BaseReport:
     def summary(self) -> str:
         status = "clean" if self.ok else f"{self.findings_count} findings"
         return f"{type(self).__name__}: {status}"
-
-
-def deprecated_alias(old: str, new: str) -> property:
-    """A property forwarding the legacy attribute ``old`` to ``new``.
-
-    Reads and writes both work, each warning once per call site via
-    :class:`DeprecationWarning` so downstream code keeps running while
-    it migrates.
-    """
-
-    def getter(self: Any) -> Any:
-        warnings.warn(
-            f"{type(self).__name__}.{old} is deprecated; use .{new}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self, new)
-
-    def setter(self: Any, value: Any) -> None:
-        warnings.warn(
-            f"{type(self).__name__}.{old} is deprecated; use .{new}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        setattr(self, new, value)
-
-    return property(getter, setter, doc=f"Deprecated alias for ``{new}``.")

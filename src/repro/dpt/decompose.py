@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.core.report import BaseReport, deprecated_alias
+from repro.core.report import BaseReport
 from repro.geometry import GridIndex, Rect, Region
 from repro.obs import get_registry, names
 
@@ -83,9 +83,6 @@ class DecompositionResult(BaseReport):
     features: list[Region]
     conflict_features: set[int] = field(default_factory=set)
     conflict_cycles: list[list[int]] = field(default_factory=list)
-
-    # legacy spelling (pre-BaseReport), kept as a warning alias
-    is_clean = deprecated_alias("is_clean", "ok")
 
     @property
     def findings(self) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.core.report import BaseReport, deprecated_alias
+from repro.core.report import BaseReport
 from repro.dpt.decompose import _feature_distance, _find_odd_cycle
 from repro.geometry import Rect, Region
 
@@ -37,9 +37,6 @@ class PhaseAssignment(BaseReport):
     critical_gates: int = 0
     conflicts: int = 0
     conflict_gates: set[int] = field(default_factory=set)
-
-    # legacy spelling (pre-BaseReport), kept as a warning alias
-    is_clean = deprecated_alias("is_clean", "ok")
 
     @property
     def findings(self) -> tuple[int, ...]:

@@ -33,7 +33,6 @@ from repro.layout import Cell, Layer
 from repro.layout.store import StoreRects, StoreView
 from repro.obs import get_registry, names, span
 from repro.parallel import (
-    Checkpoint,
     FaultPlan,
     SharedPayload,
     ShmArena,
@@ -44,6 +43,7 @@ from repro.parallel import (
     digest_parts,
     tile_grid,
 )
+from repro.parallel.cache import open_checkpoint
 from repro.tech.rules import (
     AreaRule,
     DensityRule,
@@ -535,7 +535,7 @@ def run_drc_tiled(
                 else:
                     results[i] = hit
 
-    checkpoint: Checkpoint | None = None
+    checkpoint: TileCache | None = None
     if checkpoint_file is not None:
         if isinstance(regions, _StoreLayerRegions):
             digest_items = regions.signature_items()
@@ -551,7 +551,7 @@ def run_drc_tiled(
             tile_nm,
             digest_items,
         )
-        checkpoint = Checkpoint.open(checkpoint_file, signature, resume=resume)
+        checkpoint = open_checkpoint(checkpoint_file, signature, resume=resume)
 
     with span("drc.compute"):
         # pooled runs move the per-layer geometry into shared memory so
@@ -584,11 +584,11 @@ def run_drc_tiled(
             continue
         violations, seconds = value
         results[i] = violations
-        if i in outcome.resumed_keys:
-            continue  # replayed from checkpoint; costs belong to the prior run
-        report.compute_s += seconds
         if cache is not None:
             cache.put(keys[i], violations)
+        if i not in outcome.resumed_keys:
+            # a task replayed from the checkpoint cost the prior run
+            report.compute_s += seconds
 
     report.quarantined = outcome.quarantined
     report.tiles_resumed = len(outcome.resumed_keys)

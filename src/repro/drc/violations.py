@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.core.report import BaseReport, deprecated_alias
+from repro.core.report import BaseReport
 from repro.geometry import Rect
 from repro.parallel.faults import QuarantinedTile
 from repro.tech.rules import Rule, RuleSeverity
@@ -45,11 +45,6 @@ class DrcReport(BaseReport):
     quarantined: list[QuarantinedTile] = field(default_factory=list)
     compute_s: float = 0.0
     elapsed_s: float = 0.0
-
-    # legacy spellings (pre-BaseReport), kept as warning aliases
-    compute_seconds = deprecated_alias("compute_seconds", "compute_s")
-    elapsed_seconds = deprecated_alias("elapsed_seconds", "elapsed_s")
-    is_clean = deprecated_alias("is_clean", "ok")
 
     @property
     def findings(self) -> list[Violation]:

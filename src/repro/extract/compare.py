@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.report import BaseReport, deprecated_alias
+from repro.core.report import BaseReport
 from repro.extract.connectivity import ExtractedNetlist, NetNode
 from repro.geometry import Point, Region
 from repro.layout import Layer
@@ -19,9 +19,6 @@ class ConnectivityReport(BaseReport):
     opens: list[str] = field(default_factory=list)    # intended nets that split
     shorts: list[tuple[str, str]] = field(default_factory=list)  # merged pairs
     missing: list[str] = field(default_factory=list)  # probe points on nothing
-
-    # legacy spelling (pre-BaseReport), kept as a warning alias
-    is_clean = deprecated_alias("is_clean", "ok")
 
     @property
     def findings_count(self) -> int:

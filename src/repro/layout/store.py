@@ -604,7 +604,7 @@ def ensure_store(
 
     An existing store is reused only when its format version, source
     stat signature, and cell selection all match; a version mismatch is
-    counted and logged (mirroring the ``tilecache-v1`` sentinel) and
+    counted and logged (mirroring the result-file sentinel) and
     the store is rebuilt in place.
     """
     registry = get_registry()

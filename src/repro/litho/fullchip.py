@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.core.report import BaseReport, deprecated_alias
+from repro.core.report import BaseReport
 from repro.geometry import GridIndex, Rect, Region
 from repro.layout.store import StoreLayer, StoreRects
 from repro.litho.hotspots import Hotspot, _merge_across_corners, find_hotspots
@@ -33,7 +33,6 @@ from repro.litho.model import LithoModel
 from repro.litho.process import ProcessWindow
 from repro.obs import get_registry, names, span
 from repro.parallel import (
-    Checkpoint,
     FaultPlan,
     QuarantinedTile,
     SharedPayload,
@@ -45,6 +44,7 @@ from repro.parallel import (
     digest_parts,
     tile_grid,
 )
+from repro.parallel.cache import open_checkpoint
 
 
 @dataclass
@@ -58,10 +58,6 @@ class FullChipScanReport(BaseReport):
     quarantined: list[QuarantinedTile] = field(default_factory=list)
     compute_s: float = 0.0
     elapsed_s: float = 0.0
-
-    # legacy spellings (pre-BaseReport), kept as warning aliases
-    compute_seconds = deprecated_alias("compute_seconds", "compute_s")
-    elapsed_seconds = deprecated_alias("elapsed_seconds", "elapsed_s")
 
     @property
     def findings(self) -> list[Hotspot]:
@@ -429,7 +425,7 @@ def scan_full_chip(
         payload = _ScanPayload(
             model, drawn, mask, process, pinch_limit, grid, halo, False
         )
-    checkpoint: Checkpoint | None = None
+    checkpoint: TileCache | None = None
     with span("scan.plan"):
         tiles = tile_grid(extent, tile_nm, overlap_nm)
         report.tiles = len(tiles)
@@ -445,7 +441,7 @@ def scan_full_chip(
                 drawn.digest(),
                 mask.digest() if mask is not None else None,
             )
-            checkpoint = Checkpoint.open(checkpoint_file, signature, resume=resume)
+            checkpoint = open_checkpoint(checkpoint_file, signature, resume=resume)
 
         owned_by_tile: dict[int, list[Hotspot]] = {}
         pending: list[Tile] = tiles
@@ -499,11 +495,11 @@ def scan_full_chip(
             continue
         owned, seconds = value
         owned_by_tile[tile.index] = owned
-        if tile.index in outcome.resumed_keys:
-            continue  # replayed from checkpoint; costs belong to the prior run
-        report.compute_s += seconds
         if cache is not None:
             cache.put(keys[tile.index], owned)
+        if tile.index not in outcome.resumed_keys:
+            # a tile replayed from the checkpoint cost the prior run
+            report.compute_s += seconds
 
     report.quarantined = outcome.quarantined
     report.tiles_resumed = len(outcome.resumed_keys)

@@ -5,7 +5,7 @@ One worker function — :func:`run_scenario_check` — serves every path:
 * in-process: deduplicated scenario items fan out over a
   :class:`~repro.parallel.TileExecutor` (``jobs=1`` is the serial path);
 * service: each scenario becomes a ``matrix`` job; the daemon's shared
-  :class:`~repro.service.store.ResultStore` deduplicates across jobs,
+  :class:`~repro.parallel.cache.ResultStore` deduplicates across jobs,
   clients, and batches (:func:`execute_matrix_job` is the branch
   :class:`~repro.service.core.VerificationService` dispatches to).
 
@@ -27,8 +27,7 @@ from repro.litho.hotspots import find_hotspots
 from repro.litho.model import LithoModel
 from repro.litho.process import ProcessCondition
 from repro.obs import get_registry, names
-from repro.parallel import TileExecutor
-from repro.service.store import ResultStore
+from repro.parallel import ResultStore, TileExecutor
 from repro.tech import make_node
 from repro.tech.technology import LithoSettings
 

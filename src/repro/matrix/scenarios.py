@@ -13,7 +13,7 @@ Scenario identity is content-addressed at two levels:
   dimensions, and the canonical rect decomposition of the window,
   normalized to the origin.  Two different cell pairs whose abutment
   windows contain identical geometry share a key, which is exactly what
-  the :class:`~repro.service.store.ResultStore` deduplicates on.
+  the :class:`~repro.parallel.cache.ResultStore` deduplicates on.
 * ``sid`` — digest of the key plus the *provenance* (pair, flip, kind),
   unique per scenario row in the report.
 

@@ -21,9 +21,11 @@ members of a family.
 
 from __future__ import annotations
 
-# -- tile cache (repro.parallel.cache) --------------------------------
+# -- tile cache handles (repro.parallel.cache.TileCache) --------------
 TILECACHE_HITS = "tilecache.hits"
 TILECACHE_MISSES = "tilecache.misses"
+# Counted when any persisted result file (--cache-file, --checkpoint-file)
+# is discarded for a format mismatch.
 TILECACHE_VERSION_MISMATCH = "tilecache.version_mismatch"
 
 # -- worker pool (repro.parallel.pool) --------------------------------
@@ -63,11 +65,10 @@ SERVICE_BATCHES = "service.batches"
 SERVICE_BATCH_JOBS = "service.batch_jobs"
 SERVICE_BATCH_REJECTED = "service.batch_rejected"
 
-# -- cross-run result store (repro.service.store) ---------------------
+# -- result store (repro.parallel.cache.ResultStore) ------------------
 STORE_HITS = "store.hits"
 STORE_MISSES = "store.misses"
 STORE_EVICTIONS = "store.evictions"
-STORE_VERSION_MISMATCH = "store.version_mismatch"
 
 # -- out-of-core layout store (repro.layout.store) --------------------
 LAYOUTSTORE_INGESTS = "layoutstore.ingests"

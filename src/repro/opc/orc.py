@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.report import BaseReport, deprecated_alias
+from repro.core.report import BaseReport
 from repro.geometry import Rect, Region
 from repro.litho.hotspots import Hotspot, find_hotspots
 from repro.litho.model import LithoModel
@@ -28,9 +28,6 @@ class OrcReport(BaseReport):
     epe_violations: int = 0
     hotspots: list[Hotspot] = field(default_factory=list)
     printing_srafs: int = 0
-
-    # legacy spelling (pre-BaseReport), kept as a warning alias
-    passed = deprecated_alias("passed", "ok")
 
     @property
     def findings_count(self) -> int:

@@ -16,7 +16,8 @@ The shared machinery behind the full-chip litho scan
   :meth:`TileExecutor.run` adds the fault-tolerant contract: per-chunk
   timeouts, bounded retry with exponential backoff, poison-tile
   quarantine (:class:`QuarantinedTile`), and checkpoint/resume.
-* :class:`TileCache` — incremental result cache.  Each tile's entry is
+* :class:`ResultStore` / :class:`TileCache` — the one result store and
+  the engines' handle on one of its namespaces.  Each tile's entry is
   keyed by a content hash (:meth:`repro.geometry.Region.digest`) of
   the geometry clipped to the tile's *halo window* — the full region
   that can influence the tile's result (optical influence radius for
@@ -25,9 +26,10 @@ The shared machinery behind the full-chip litho scan
   touches: a re-scan after a local edit re-verifies only dirty tiles,
   and an unedited re-scan re-verifies nothing (100% hit rate).  Hashes
   are taken over canonical-form geometry, so rebuilding the same point
-  set differently still hits.
-* :class:`Checkpoint` — signature-guarded persistence of completed tile
-  results, so an interrupted run resumes instead of starting over.
+  set differently still hits.  The same store, tied to a checkpoint
+  file and viewed under the run signature, persists completed tiles
+  so an interrupted run resumes instead of starting over; the
+  verification daemon shares one LRU-bounded store across clients.
 * :class:`FaultPlan` — deterministic fault injection (``fail`` /
   ``hang`` / ``abort`` at exact tiles), driven programmatically or via
   ``$REPRO_FAULT_SPEC``, so the retry/timeout/quarantine matrix is
@@ -41,8 +43,7 @@ The shared machinery behind the full-chip litho scan
   pickled path with a ``pool.shm_fallback`` gauge.
 """
 
-from repro.parallel.cache import TileCache, digest_parts
-from repro.parallel.checkpoint import Checkpoint
+from repro.parallel.cache import ResultStore, TileCache, digest_parts
 from repro.parallel.faults import (
     AbortRun,
     FaultPlan,
@@ -67,9 +68,9 @@ __all__ = [
     "ExecutionOutcome",
     "WorkerFailure",
     "resolve_jobs",
+    "ResultStore",
     "TileCache",
     "digest_parts",
-    "Checkpoint",
     "FaultPlan",
     "FaultRule",
     "InjectedFault",

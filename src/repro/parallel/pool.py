@@ -24,9 +24,10 @@ Two entry points:
   exponential backoff, poison-tile quarantine (a chunk that exhausts
   its retries is bisected down to the failing tile, which is recorded
   as a :class:`~repro.parallel.faults.QuarantinedTile` instead of
-  killing the run), periodic checkpointing via
-  :class:`~repro.parallel.checkpoint.Checkpoint`, and deterministic
-  fault injection via :class:`~repro.parallel.faults.FaultPlan`.
+  killing the run), periodic checkpointing into a
+  :class:`~repro.parallel.cache.TileCache` tied to the checkpoint file,
+  and deterministic fault injection via
+  :class:`~repro.parallel.faults.FaultPlan`.
 
 Observability: when the parent's :class:`~repro.obs.MetricsRegistry` is
 enabled, workers enable their own process registry, reset it at each
@@ -53,7 +54,7 @@ from functools import partial
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.obs import get_registry, names
-from repro.parallel.checkpoint import Checkpoint
+from repro.parallel.cache import TileCache
 from repro.parallel.faults import (
     AbortRun,
     FaultPlan,
@@ -462,7 +463,7 @@ class TileExecutor:
         max_retries: int = 2,
         backoff_s: float = 0.05,
         fault_plan: FaultPlan | None = None,
-        checkpoint: Checkpoint | None = None,
+        checkpoint: TileCache | None = None,
     ) -> ExecutionOutcome:
         """Fault-tolerant fan-out: retry, quarantine, checkpoint, resume.
 
@@ -477,9 +478,11 @@ class TileExecutor:
         pool, so ``jobs=1`` with a timeout still runs one worker).
 
         ``fault_plan`` (or ``$REPRO_FAULT_SPEC``) injects deterministic
-        failures for testing.  ``checkpoint`` replays already-completed
-        keys and persists new completions periodically; on an abort the
-        checkpoint is flushed before :class:`AbortRun` is raised.
+        failures for testing.  ``checkpoint`` (a handle on a store tied
+        to the checkpoint file) replays already-completed keys without
+        counting them as cache traffic, and new completions are ``put``
+        into it and flushed periodically; on an abort the checkpoint is
+        flushed before :class:`AbortRun` is raised.
         """
         work = list(items)
         item_keys = list(keys) if keys is not None else list(range(len(work)))
@@ -493,7 +496,7 @@ class TileExecutor:
         if checkpoint is not None:
             for key in item_keys:
                 if key in checkpoint:
-                    results[key] = checkpoint.get(key)
+                    results[key] = checkpoint[key]
                     resumed.add(key)
         pending = [(k, item) for k, item in zip(item_keys, work) if k not in resumed]
 
@@ -582,7 +585,7 @@ class TileExecutor:
                     continue
                 state.results[key] = value
                 if state.checkpoint is not None:
-                    state.checkpoint.record(key, value)
+                    state.checkpoint.put(key, value)
                     unflushed += 1
                     if unflushed >= _CHECKPOINT_FLUSH_EVERY:
                         state.checkpoint.flush()
@@ -669,7 +672,7 @@ class TileExecutor:
                             for key, value in part:
                                 state.results[key] = value
                                 if state.checkpoint is not None:
-                                    state.checkpoint.record(key, value)
+                                    state.checkpoint.put(key, value)
                             if state.checkpoint is not None:
                                 state.checkpoint.flush()
                             if snapshot is not None:
@@ -718,7 +721,7 @@ class _RunState:
     outcome: ExecutionOutcome
     registry: Any
     faults: FaultPlan | None
-    checkpoint: Checkpoint | None
+    checkpoint: TileCache | None
     max_retries: int
     backoff_s: float
     # per-key execution ordinals (drives deterministic fault injection)

@@ -6,10 +6,10 @@ worker-pool spin-up, and cache warm-up on every invocation.  This
 package keeps all of that resident in a long-lived daemon: layouts stay
 loaded (:mod:`~repro.service.session`), the worker pool stays warm
 (:class:`~repro.parallel.TileExecutor` in persistent mode), and
-per-tile results accumulate in a content-addressed store shared across
-runs and clients (:mod:`~repro.service.store`) — so the steady-state
-cost of "verify the cell I just edited" is the dirty tiles, not the
-chip.
+per-tile results accumulate in a content-addressed
+:class:`~repro.parallel.cache.ResultStore` shared across runs and
+clients — so the steady-state cost of "verify the cell I just edited"
+is the dirty tiles, not the chip.
 
 Entry points:
 
@@ -19,6 +19,7 @@ Entry points:
 * :class:`SocketClient` — programmatic access to a running daemon.
 """
 
+from repro.parallel.cache import ResultStore
 from repro.service import errors
 from repro.service.client import (
     DEFAULT_STATE_FILE,
@@ -40,7 +41,6 @@ from repro.service.jobs import (
 )
 from repro.service.queue import PriorityJobQueue
 from repro.service.session import LayoutSession, SessionKey, SessionManager
-from repro.service.store import ResultStore, StoreView
 
 __all__ = [
     "BadRequestError",
@@ -61,7 +61,6 @@ __all__ = [
     "SessionKey",
     "SessionManager",
     "SocketClient",
-    "StoreView",
     "UnknownJobError",
     "VerificationService",
 ]

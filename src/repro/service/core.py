@@ -10,7 +10,7 @@ owns four long-lived pieces and wires every job through all of them:
 * one persistent :class:`~repro.parallel.TileExecutor` whose worker
   pool stays warm across requests (the ``pool.warm_reuse`` counter
   proves it);
-* a :class:`~repro.service.store.ResultStore` shared across runs and
+* a :class:`~repro.parallel.cache.ResultStore` shared across runs and
   clients, so any client's re-verify after an edit recomputes only the
   dirty tiles — whoever computed the clean ones;
 * a :class:`~repro.service.queue.PriorityJobQueue` dispatched by a
@@ -38,7 +38,7 @@ from repro.drc.engine import run_drc
 from repro.litho.fullchip import scan_full_chip
 from repro.litho.model import LithoModel
 from repro.obs import get_registry, names
-from repro.parallel import AbortRun, TileExecutor
+from repro.parallel import AbortRun, ResultStore, TileExecutor
 from repro.service.jobs import (
     VERIFY_KINDS,
     BadRequestError,
@@ -52,7 +52,6 @@ from repro.service.jobs import (
 )
 from repro.service.queue import PriorityJobQueue
 from repro.service.session import SessionManager, resolve_layer
-from repro.service.store import ResultStore
 from repro.tech import make_node
 
 # Terminal jobs kept for status queries before the history is trimmed.
@@ -496,9 +495,3 @@ class VerificationService:
             "listing": listing,
         }
         return report, result
-
-
-# ServiceClient lives with the rest of the client surface now; the
-# import is kept so `from repro.service.core import ServiceClient`
-# call sites keep working.
-from repro.service.client import ServiceClient as ServiceClient  # noqa: E402

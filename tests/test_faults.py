@@ -18,14 +18,16 @@ import pytest
 from repro.designgen import LogicBlockSpec, generate_logic_block
 from repro.geometry import Rect, Region
 from repro.litho import LithoModel, scan_full_chip
+from repro.obs import MetricsRegistry, set_registry
 from repro.parallel import (
     AbortRun,
-    Checkpoint,
     FaultPlan,
     FaultRule,
     InjectedFault,
+    TileCache,
     TileExecutor,
 )
+from repro.parallel.cache import open_checkpoint
 from repro.parallel.faults import ENV_VAR
 
 
@@ -93,40 +95,40 @@ class TestFaultPlanGrammar:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "ckpt.pkl"
-        ckpt = Checkpoint.open(path, "sig-a")
-        ckpt.record(3, "three")
-        ckpt.record(7, "seven")
+        ckpt = open_checkpoint(path, "sig-a")
+        ckpt.put(3, "three")
+        ckpt.put(7, "seven")
         ckpt.flush()
-        again = Checkpoint.open(path, "sig-a")
+        again = open_checkpoint(path, "sig-a")
         assert len(again) == 2
         assert again.get(3) == "three"
         assert 7 in again and 4 not in again
 
     def test_signature_mismatch_discards(self, tmp_path):
         path = tmp_path / "ckpt.pkl"
-        ckpt = Checkpoint.open(path, "sig-a")
-        ckpt.record(1, "one")
+        ckpt = open_checkpoint(path, "sig-a")
+        ckpt.put(1, "one")
         ckpt.flush()
-        stale = Checkpoint.open(path, "sig-B")
+        stale = open_checkpoint(path, "sig-B")
         assert len(stale) == 0
 
     def test_resume_false_starts_fresh(self, tmp_path):
         path = tmp_path / "ckpt.pkl"
-        ckpt = Checkpoint.open(path, "sig-a")
-        ckpt.record(1, "one")
+        ckpt = open_checkpoint(path, "sig-a")
+        ckpt.put(1, "one")
         ckpt.flush()
-        fresh = Checkpoint.open(path, "sig-a", resume=False)
+        fresh = open_checkpoint(path, "sig-a", resume=False)
         assert len(fresh) == 0
 
     def test_corrupt_file_starts_fresh(self, tmp_path):
         path = tmp_path / "ckpt.pkl"
         path.write_bytes(b"not a pickle")
-        assert len(Checkpoint.open(path, "sig-a")) == 0
+        assert len(open_checkpoint(path, "sig-a")) == 0
 
     def test_clear_removes_file(self, tmp_path):
         path = tmp_path / "ckpt.pkl"
-        ckpt = Checkpoint.open(path, "sig-a")
-        ckpt.record(1, "one")
+        ckpt = open_checkpoint(path, "sig-a")
+        ckpt.put(1, "one")
         ckpt.flush()
         assert path.exists()
         ckpt.clear()
@@ -207,12 +209,12 @@ class TestExecutorFaultMatrix:
     def test_abort_flushes_checkpoint_then_resume_completes(self, tmp_path, jobs):
         path = tmp_path / "ckpt.pkl"
         plan = FaultPlan.parse("tile:6:abort")
-        ckpt = Checkpoint.open(path, "sig")
+        ckpt = open_checkpoint(path, "sig")
         with pytest.raises(AbortRun):
             TileExecutor(jobs).run(
                 _ident, None, list(range(8)), fault_plan=plan, checkpoint=ckpt
             )
-        flushed = Checkpoint.open(path, "sig")
+        flushed = open_checkpoint(path, "sig")
         done_before = frozenset(flushed)
         assert 0 < len(done_before) < 8  # partial progress survived the abort
 
@@ -478,3 +480,135 @@ class TestDrcFaultTolerance:
         )
         assert resumed.tiles_resumed > 0
         assert resumed.violations == baseline.violations
+
+    def test_drc_resume_with_other_settings_recomputes_all(
+        self, small_block, tech45, tmp_path
+    ):
+        from repro.drc import run_drc
+
+        deck = tech45.rules.minimum()
+        ckpt = str(tmp_path / "drc.ckpt")
+        with pytest.raises(AbortRun):
+            run_drc(
+                small_block.top, deck, tile_nm=2500,
+                fault_plan=FaultPlan.parse("tile:2:abort"),
+                checkpoint_file=ckpt,
+            )
+        baseline = run_drc(small_block.top, deck, jobs=1, tile_nm=2000)
+        resumed = run_drc(
+            small_block.top, deck, tile_nm=2000,
+            checkpoint_file=ckpt, resume=True,
+        )
+        assert resumed.tiles_resumed == 0  # other tiling, other signature
+        assert resumed.tiles_computed == resumed.tiles
+        assert resumed.violations == baseline.violations
+
+
+class TestResumeFeedsTheCache:
+    """Tiles replayed from a checkpoint enter the incremental cache as
+    well: after an abort and a resume with the same cache, a cached
+    rerun recomputes nothing."""
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_scan(self, chip64, tmp_path, jobs):
+        model, m1, kwargs, baseline = chip64
+        ckpt = str(tmp_path / "scan.ckpt")
+        cache = TileCache()
+        with pytest.raises(AbortRun):
+            scan_full_chip(
+                model, m1, jobs=jobs, cache=cache,
+                fault_plan=FaultPlan.parse("tile:20:abort"),
+                checkpoint_file=ckpt, **kwargs,
+            )
+        resumed = scan_full_chip(
+            model, m1, jobs=jobs, cache=cache,
+            checkpoint_file=ckpt, resume=True, **kwargs,
+        )
+        assert resumed.tiles_resumed > 0
+        rerun = scan_full_chip(model, m1, jobs=jobs, cache=cache, **kwargs)
+        assert rerun.tiles_computed == 0
+        assert rerun.tiles_cached == 64
+        assert rerun.hotspots == baseline.hotspots
+
+    def test_drc(self, small_block, tech45, tmp_path):
+        from repro.drc import run_drc
+
+        deck = tech45.rules.minimum()
+        ckpt = str(tmp_path / "drc.ckpt")
+        cache = TileCache()
+        with pytest.raises(AbortRun):
+            run_drc(
+                small_block.top, deck, tile_nm=2500, cache=cache,
+                fault_plan=FaultPlan.parse("tile:2:abort"),
+                checkpoint_file=ckpt,
+            )
+        resumed = run_drc(
+            small_block.top, deck, tile_nm=2500, cache=cache,
+            checkpoint_file=ckpt, resume=True,
+        )
+        assert resumed.tiles_resumed > 0
+        rerun = run_drc(small_block.top, deck, tile_nm=2500, cache=cache)
+        assert rerun.tiles_computed == 0
+        assert rerun.tiles_cached == rerun.tiles
+        assert rerun.violations == resumed.violations
+
+
+class TestResumeCounters:
+    def test_resume_without_cache_counts_no_cache_traffic(self, chip64, tmp_path):
+        """Replaying a checkpoint is not cache traffic: the resumed scan
+        emits the scan counters and no ``tilecache.*`` or ``store.*``."""
+        model, m1, kwargs, baseline = chip64
+        ckpt = str(tmp_path / "scan.ckpt")
+        with pytest.raises(AbortRun):
+            scan_full_chip(
+                model, m1, fault_plan=FaultPlan.parse("tile:20:abort"),
+                checkpoint_file=ckpt, **kwargs,
+            )
+        registry = MetricsRegistry(enabled=True)
+        previous = set_registry(registry)
+        try:
+            scan_full_chip(model, m1, checkpoint_file=ckpt, resume=True, **kwargs)
+        finally:
+            set_registry(previous)
+        counters = registry.snapshot()["counters"]
+        assert {k: v for k, v in counters.items() if k.startswith("scan.tiles")} == {
+            "scan.tiles": 64,
+            "scan.tiles_computed": 44,
+            "scan.tiles_cached": 0,
+            "scan.tiles_resumed": 20,
+            "scan.tiles_quarantined": 0,
+            "scan.tiles_simulated": 44,
+        }
+        assert not [k for k in counters if k.startswith(("tilecache.", "store."))]
+
+    def test_parent_format_checkpoint_is_a_fresh_run(self, chip64, tmp_path):
+        """A checkpoint in the format that preceded the one result store
+        (``repro-checkpoint-v1``), with this run's own signature, is
+        discarded whole: the resume recomputes every tile."""
+        import pickle
+
+        model, m1, kwargs, baseline = chip64
+        ckpt = tmp_path / "scan.ckpt"
+        with pytest.raises(AbortRun):
+            scan_full_chip(
+                model, m1, fault_plan=FaultPlan.parse("tile:20:abort"),
+                checkpoint_file=str(ckpt), **kwargs,
+            )
+        with open(ckpt, "rb") as fh:
+            entries = pickle.load(fh)["entries"]
+        (signature,) = {namespace for namespace, _ in entries}
+        with open(ckpt, "wb") as fh:
+            pickle.dump(
+                {
+                    "schema": "repro-checkpoint-v1",
+                    "signature": signature,
+                    "results": {key: value for (_, key), value in entries.items()},
+                },
+                fh,
+            )
+        resumed = scan_full_chip(
+            model, m1, checkpoint_file=str(ckpt), resume=True, **kwargs
+        )
+        assert resumed.tiles_resumed == 0
+        assert resumed.tiles_computed == 64
+        assert resumed.hotspots == baseline.hotspots

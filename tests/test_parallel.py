@@ -8,6 +8,7 @@ engine: the corner-drop bug in full-chip scan ownership.
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 
@@ -19,7 +20,7 @@ from repro.geometry import Rect, Region
 from repro.litho import LithoModel, scan_full_chip
 from repro.litho.hotspots import Hotspot, HotspotKind
 from repro.litho.process import ProcessCondition
-from repro.parallel import TileCache, TileExecutor, tile_grid
+from repro.parallel import ResultStore, TileCache, TileExecutor, tile_grid
 from repro.parallel.cache import digest_parts
 
 
@@ -217,6 +218,40 @@ class TestTileCache:
         assert len(loaded) == 2
         assert loaded.get("a") == [Rect(0, 0, 5, 5)]
         assert loaded.get("b") == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"format": "tilecache-v1", "entries": {"k": [Rect(0, 0, 5, 5)]}},
+            {"format": "resultstore-v1", "entries": {"ns:k": [Rect(0, 0, 5, 5)]}},
+            {
+                "schema": "repro-checkpoint-v1",
+                "signature": "sig",
+                "results": {3: ([Rect(0, 0, 5, 5)], 0.25)},
+            },
+        ],
+        ids=["tilecache-v1", "resultstore-v1", "repro-checkpoint-v1"],
+    )
+    def test_parent_formats_load_empty_with_warning(self, tmp_path, caplog, payload):
+        # the three per-kind formats the one store replaced have other
+        # entry shapes: each is discarded whole, never half-read
+        import pickle
+
+        from repro.obs import MetricsRegistry, names, set_registry
+
+        path = tmp_path / "old.pkl"
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+        registry = MetricsRegistry(enabled=True)
+        previous = set_registry(registry)
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.parallel"):
+                store = ResultStore.load(path, max_entries=None)
+        finally:
+            set_registry(previous)
+        assert len(store) == 0
+        assert "discarding result file" in caplog.text
+        assert registry.counter(names.TILECACHE_VERSION_MISMATCH) == 1
 
 
 @pytest.fixture(scope="module")

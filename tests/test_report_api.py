@@ -2,8 +2,7 @@
 the stable :mod:`repro.api` facade.
 
 Every engine report shares one contract — ``ok``, ``findings_count``,
-``summary()``, ``to_dict()``/``to_json()`` — and renamed legacy
-attributes survive as properties that raise ``DeprecationWarning``.
+``summary()``, ``to_dict()``/``to_json()``.
 """
 
 from __future__ import annotations
@@ -109,35 +108,6 @@ class TestBaseReportContract:
 
 
 class TestDeprecatedAliases:
-    def test_elapsed_seconds_warns_and_forwards(self):
-        report = DrcReport(elapsed_s=1.5)
-        with pytest.deprecated_call():
-            assert report.elapsed_seconds == 1.5
-        with pytest.deprecated_call():
-            report.elapsed_seconds = 2.0
-        assert report.elapsed_s == 2.0
-
-    def test_compute_seconds_warns(self):
-        scan = FullChipScanReport(compute_s=3.0)
-        with pytest.deprecated_call():
-            assert scan.compute_seconds == 3.0
-
-    def test_is_clean_warns_and_tracks_ok(self, tech45):
-        report = DrcReport()
-        with pytest.deprecated_call():
-            assert report.is_clean is True
-        report.violations.append(_violation(tech45))
-        with pytest.deprecated_call():
-            assert report.is_clean is False
-
-    def test_orc_passed_warns(self):
-        with pytest.deprecated_call():
-            assert OrcReport().passed is True
-
-    def test_connectivity_is_clean_warns(self):
-        with pytest.deprecated_call():
-            assert ConnectivityReport(opens=["x"]).is_clean is False
-
     def test_new_spellings_do_not_warn(self, recwarn):
         report = DrcReport(elapsed_s=1.0)
         assert report.ok is True

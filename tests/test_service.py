@@ -37,7 +37,6 @@ from repro.service import (
     ServiceError,
     SessionManager,
     SocketClient,
-    StoreView,
     UnknownJobError,
     VerificationService,
     protocol,
@@ -155,12 +154,22 @@ class TestResultStore:
         store = ResultStore()
         ns = store.namespace("drc", "1.0")
         view = store.view(ns)
-        assert isinstance(view, (TileCache, StoreView))
+        assert isinstance(view, TileCache)
         view.put("tile", "result")
         other_run = store.view(ns)
         assert other_run.get("tile") == "result"  # cross-run reuse
         assert (other_run.hits, other_run.misses) == (1, 0)
         assert store.view(store.namespace("drc", "2.0")).get("tile") is None
+
+    def test_view_length_and_membership_cover_its_namespace(self):
+        store = ResultStore()
+        view = store.view(store.namespace("scan", "1.0", 45))
+        view.put("tile", "result")
+        assert len(view) == 1
+        assert "tile" in view
+        other = store.view(store.namespace("scan", "1.0", 65))
+        assert len(other) == 0
+        assert "tile" not in other
 
     def test_save_load_round_trip(self, tmp_path):
         store = ResultStore()

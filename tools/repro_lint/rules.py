@@ -485,8 +485,6 @@ class ReportContractRule(Rule):
     SECONDS_RE = re.compile(r"^\w+_seconds$")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.rel.endswith("core/report.py"):
-            return  # the contract's own definition (aliases, docs)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(ctx, node)
@@ -515,8 +513,8 @@ class ReportContractRule(Rule):
         if not (is_report_name or "BaseReport" in base_names):
             return
         for item in node.body:
-            name, is_alias = self._member(item)
-            if name is None or is_alias:
+            name = self._member(item)
+            if name is None:
                 continue
             if name in self.DEPRECATED_ATTRS or self.SECONDS_RE.match(name):
                 canonical = {
@@ -529,8 +527,7 @@ class ReportContractRule(Rule):
                     ctx,
                     item,
                     f"report field {name!r} re-introduces a deprecated "
-                    f"spelling; use {canonical} (deprecated_alias exists for "
-                    "migration)",
+                    f"spelling; use {canonical}",
                 )
 
     @staticmethod
@@ -542,24 +539,19 @@ class ReportContractRule(Rule):
         return None
 
     @staticmethod
-    def _member(item: ast.stmt) -> tuple[str | None, bool]:
-        """(member name, defined via deprecated_alias?) for a class stmt."""
+    def _member(item: ast.stmt) -> str | None:
+        """The member name a class-body statement defines, if any."""
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return item.name, False
+            return item.name
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            value = item.value
-        elif isinstance(item, ast.Assign) and len(item.targets) == 1 and isinstance(
-            item.targets[0], ast.Name
+            return item.target.id
+        if (
+            isinstance(item, ast.Assign)
+            and len(item.targets) == 1
+            and isinstance(item.targets[0], ast.Name)
         ):
-            value = item.value
-        else:
-            return None, False
-        target = item.target if isinstance(item, ast.AnnAssign) else item.targets[0]
-        is_alias = (
-            isinstance(value, ast.Call) and _call_name(value) == "deprecated_alias"
-        )
-        assert isinstance(target, ast.Name)
-        return target.id, is_alias
+            return item.targets[0].id
+        return None
 
 
 # ---------------------------------------------------------------------------
