@@ -173,11 +173,12 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
 
 def _open_store(args):
     """Build-or-map the layout store named by ``--store``."""
+    from repro.gdsii.records import GdsFormatError
     from repro.layout.store import LayoutStoreError
 
     try:
         return api.ingest_store(args.gds, args.store, cell=args.cell or None)
-    except LayoutStoreError as exc:
+    except (LayoutStoreError, GdsFormatError) as exc:
         raise SystemExit(f"layout store error: {exc}") from exc
 
 
@@ -340,12 +341,13 @@ def cmd_dpt(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from repro.gdsii.records import GdsFormatError
     from repro.layout.store import LayoutStoreError
 
     out = args.out or (args.gds + ".lstore")
     try:
         view = api.ingest_store(args.gds, out, cell=args.cell, force=args.force)
-    except LayoutStoreError as exc:
+    except (LayoutStoreError, GdsFormatError) as exc:
         raise SystemExit(f"layout store error: {exc}") from exc
     extent = view.extent.as_tuple() if view.extent is not None else None
     print(

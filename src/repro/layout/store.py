@@ -1,10 +1,12 @@
 """Out-of-core layout substrate: the ``layoutstore-v1`` flat-rect file.
 
 ``ingest`` streams a GDSII file record-by-record (never materializing a
-:class:`~repro.layout.Layout`), flattens references on the fly, and
-external-sorts each layer's rects into the *same canonical form*
-:class:`~repro.geometry.Region` holds in RAM: slab-ordered disjoint
-rect quads.  The quads land in an mmap-able int32 file::
+:class:`~repro.layout.Layout`), flattens the hierarchy in bounded NumPy
+chunks (:mod:`repro.gdsii.stream` broadcasts each cell's quads over
+whole arrays of placements), and external-sorts each layer's rects into
+the *same canonical form* :class:`~repro.geometry.Region` holds in RAM:
+slab-ordered disjoint rect quads.  The quads land in an mmap-able int32
+file::
 
     magic (16 bytes, b"layoutstore-v1\\n\\x00")
     <I  directory length
@@ -12,6 +14,18 @@ rect quads.  The quads land in an mmap-able int32 file::
         {offset, count, extent, digest, run y-extents}
     padding to a 64-byte boundary
     int32 little-endian rect quads (x0, y0, x1, y1), layer by layer
+
+The canonical sweep runs in bounded x bands, never per rect.  Each
+layer's quads are spilled as x0-sorted int64 runs, and the runs are
+merged a block at a time; a band ends at the smallest last-loaded x0
+among runs with unread data, so every rect starting left of that edge
+is loaded.  Within a band the rects are cut at every distinct x and
+merged column by column, and x-adjacent columns with identical
+interval lists are joined; rects reaching past the band's edge carry
+over into the next band, and a band's first slab joins the previous
+band's last when the two match.  Cutting x more finely and joining
+identical neighbours *is* the canonical form, so band edges cannot
+change a byte of the output.
 
 Because the quads are exactly ``Region.rects()`` order, every consumer
 of the canonical contract plugs straight in: ``Region.from_canonical_
@@ -36,20 +50,21 @@ between every worker on the host.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import logging
 import mmap
 import os
+import secrets
+import shutil
 import struct
 import sys
 import tempfile
-from array import array
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from repro.gdsii.stream import flatten, scan_gds
+import numpy as np
+
+from repro.gdsii.stream import _flat_chunks, scan_gds
 from repro.geometry import Rect, Region
-from repro.geometry.intervals import merge_intervals
 from repro.obs import get_registry, names
 
 log = logging.getLogger("repro.layout.store")
@@ -61,7 +76,9 @@ _MAGIC_PREFIX = b"layoutstore-"
 _QUAD = 4
 _RUN_LEN = 2048  # rects per y-extent directory run
 _SPILL_AT = 65536  # buffered quads per layer before an external-sort spill
-_FLUSH_SLOTS = 4 * 8192  # int32 slots buffered before writing through
+_MERGE_BLOCK = 8192  # quads read from one spilled run at a time
+_FAN_IN = 16  # spilled runs merged at once
+_PIECES_AT = 1 << 15  # (rect, column) pieces a band sweep expands at once
 _I32_MIN = -(1 << 31)
 _I32_MAX = (1 << 31) - 1
 
@@ -83,110 +100,229 @@ class LayoutStoreVersionError(LayoutStoreError):
 # ---------------------------------------------------------------------------
 
 
-class _QuadSorter:
-    """Buffered external sorter for one layer's flattened rect quads."""
+class _LayerRuns:
+    """One layer's flattened quads: buffered chunks, spilled as sorted runs.
 
-    __slots__ = ("buf", "runs")
+    At ``_SPILL_AT`` buffered quads the chunks are joined, degenerate
+    quads dropped (regions drop them too), and the rest sorted by x0 —
+    all the band sweep needs — and appended to the spill file as int64.
+    """
+
+    __slots__ = ("chunks", "size", "runs")
 
     def __init__(self) -> None:
-        self.buf: list[tuple[int, int, int, int]] = []
+        self.chunks: list[np.ndarray] = []
+        self.size = 0
         self.runs: list[tuple[int, int]] = []  # (byte offset, quad count)
 
-    def add(self, x0: int, y0: int, x1: int, y1: int) -> None:
-        if x0 >= x1 or y0 >= y1:
-            return  # regions drop degenerates; mirror that here
-        self.buf.append((x0, y0, x1, y1))
+    def add(self, quads: np.ndarray, fh) -> None:
+        self.chunks.append(quads)
+        self.size += len(quads)
+        if self.size >= _SPILL_AT:
+            self.spill(fh)
 
     def spill(self, fh) -> None:
-        if not self.buf:
+        if not self.chunks:
             return
-        self.buf.sort()
-        packed = array("q")
-        for quad in self.buf:
-            packed.extend(quad)
+        quads = np.concatenate(self.chunks)
+        self.chunks, self.size = [], 0
+        quads = quads[(quads[:, 0] < quads[:, 2]) & (quads[:, 1] < quads[:, 3])]
+        if not len(quads):
+            return
+        quads = quads[np.argsort(quads[:, 0], kind="stable")]
         fh.seek(0, os.SEEK_END)
-        self.runs.append((fh.tell(), len(self.buf)))
-        fh.write(packed.tobytes())
-        self.buf = []
-
-    def sorted_quads(self, fh) -> Iterator[tuple[int, int, int, int]]:
-        self.buf.sort()
-        if not self.runs:
-            yield from self.buf
-            return
-        streams = [_read_run(fh, off, count) for off, count in self.runs]
-        if self.buf:
-            streams.append(iter(self.buf))
-        yield from heapq.merge(*streams)
+        self.runs.append((fh.tell(), len(quads)))
+        fh.write(quads.astype("<i8", copy=False).tobytes())
 
 
-def _read_run(fh, offset: int, count: int, chunk: int = 8192) -> Iterator[tuple]:
-    """Re-seeking chunked reader over one spilled sort run."""
-    pos = offset
-    remaining = count
-    while remaining:
-        n = min(chunk, remaining)
-        fh.seek(pos)
-        quads = array("q")
-        quads.frombytes(fh.read(n * 8 * _QUAD))
-        pos += n * 8 * _QUAD
-        remaining -= n
-        for i in range(0, len(quads), _QUAD):
-            yield (quads[i], quads[i + 1], quads[i + 2], quads[i + 3])
+def _x_bands(fh, runs: list[tuple[int, int]]) -> Iterator[tuple[np.ndarray, int | None]]:
+    """Merge x0-sorted spilled runs into bands: ``(quads, X)`` per band.
 
-
-def _stream_slabs(
-    quads: Iterable[tuple[int, int, int, int]],
-) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-    """Canonical slabs from quads sorted by (x0, y0, x1, y1).
-
-    Incremental version of ``region._slabs_from_rects``: the active set
-    is swept left to right, cutting only where membership changes, and
-    x-adjacent slabs with identical y-interval lists are merged — the
-    output is exactly ``Region(rects)._slabs`` without ever holding the
-    rect population in memory (only the rects crossing the sweep line).
+    Runs are read ``_MERGE_BLOCK`` quads at a time.  A band's right edge
+    X is the smallest last-loaded x0 among runs with unread data, so the
+    band's quads are every not yet yielded quad with x0 < X; the last
+    band (nothing left unread) has X None.  A run is read again once its
+    loaded quads are used up or all share the x0 that bounds the band.
     """
-    it = iter(quads)
-    nxt = next(it, None)
-    heap: list[tuple[int, int, int]] = []  # (x1, y0, y1)
-    pending: tuple[int, int, list[tuple[int, int]]] | None = None
-    xa = 0
+    left = [count for _, count in runs]
+    pos = [offset for offset, _ in runs]
+    loaded = [np.empty((0, _QUAD), dtype=np.int64) for _ in runs]
     while True:
-        if not heap:
-            if nxt is None:
-                break
-            xa = nxt[0]
-        while nxt is not None and nxt[0] <= xa:
-            heapq.heappush(heap, (nxt[2], nxt[1], nxt[3]))
-            nxt = next(it, None)
-        while heap and heap[0][0] <= xa:
-            heapq.heappop(heap)
-        if not heap:
-            continue
-        xb = heap[0][0]
-        if nxt is not None and nxt[0] < xb:
-            xb = nxt[0]
-        ys = merge_intervals([(y0, y1) for (_, y0, y1) in heap])
-        if pending is not None and pending[1] == xa and pending[2] == ys:
-            pending = (pending[0], xb, ys)
-        else:
-            if pending is not None:
-                yield pending
-            pending = (xa, xb, ys)
-        xa = xb
-    if pending is not None:
-        yield pending
+        for i, quads in enumerate(loaded):
+            if left[i] and (not len(quads) or quads[0, 0] == quads[-1, 0]):
+                n = min(_MERGE_BLOCK, left[i])
+                fh.seek(pos[i])
+                block = np.frombuffer(fh.read(n * 8 * _QUAD), dtype="<i8")
+                loaded[i] = np.concatenate((quads, block.reshape(n, _QUAD)))
+                pos[i] += n * 8 * _QUAD
+                left[i] -= n
+        bounds = [int(quads[-1, 0]) for quads, n in zip(loaded, left) if n]
+        x_end = min(bounds) if bounds else None
+        band = []
+        for i, quads in enumerate(loaded):
+            cut = len(quads) if x_end is None else np.searchsorted(quads[:, 0], x_end)
+            band.append(quads[:cut])
+            loaded[i] = quads[cut:]
+        yield np.concatenate(band), x_end
+        if x_end is None:
+            return
+
+
+def _fan_in(fh, runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Merge spilled runs ``_FAN_IN`` at a time until at most ``_FAN_IN``
+    remain, appending each merged run to the spill file.
+
+    Bounds the merge's memory (a block per run) and its per-band cost
+    (a pass over the runs) whatever the layer's size.
+    """
+    while len(runs) > _FAN_IN:
+        merged = []
+        for i in range(0, len(runs), _FAN_IN):
+            fh.seek(0, os.SEEK_END)
+            start, count = fh.tell(), 0
+            for quads, _ in _x_bands(fh, runs[i : i + _FAN_IN]):
+                fh.seek(0, os.SEEK_END)
+                fh.write(quads[np.argsort(quads[:, 0], kind="stable")].tobytes())
+                count += len(quads)
+            merged.append((start, count))
+        runs = merged
+    return runs
+
+
+# One batch of canonical slabs: (xa, xb, interval count) per slab, then
+# the slabs' y-intervals (y0, y1) back to back.
+_Slabs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _canonical_slabs(fh, runs: list[tuple[int, int]]) -> Iterator[_Slabs]:
+    """``Region(quads)._slabs`` of the runs' quads, in bounded batches.
+
+    Each band's quads plus the quads carried over from the band before
+    are swept over the band's x-range; quads reaching past its right
+    edge X are carried into the next band with x0 set to X.  Cutting x
+    more finely than the canonical form does and then merging identical
+    neighbours gives the same slabs, so the bands cannot change the
+    output: the last slab of each batch is held back and merged into the
+    next batch's first slab when the two match.
+    """
+    if not runs:
+        return  # every quad was degenerate
+    carry = np.empty((0, _QUAD), dtype=np.int64)
+    held: _Slabs | None = None
+    for quads, x_end in _x_bands(fh, _fan_in(fh, runs)):
+        if x_end is not None and not len(quads):
+            continue  # nothing new left of X: the carried quads wait
+        band = np.concatenate((carry, quads))
+        x1 = band[:, 2]
+        if x_end is not None:
+            carry = band[x1 > x_end]
+            carry[:, 0] = x_end
+            x1 = np.minimum(x1, x_end)
+        for batch in _band_slabs(band[:, 0], band[:, 1], x1, band[:, 3]):
+            xa, xb, n, y0, y1 = batch
+            if held is not None:
+                hxa, hxb, hn, hy0, hy1 = held
+                if (
+                    hxb[0] == xa[0]
+                    and np.array_equal(hy0, y0[: n[0]])
+                    and np.array_equal(hy1, y1[: n[0]])
+                ):
+                    xa[0] = hxa[0]  # the held slab extends into this batch
+                else:
+                    xa, xb, n = (np.concatenate(v) for v in ((hxa, xa), (hxb, xb), (hn, n)))
+                    y0, y1 = np.concatenate((hy0, y0)), np.concatenate((hy1, y1))
+            cut = len(y0) - int(n[-1])
+            held = (xa[-1:], xb[-1:], n[-1:], y0[cut:], y1[cut:])
+            if len(n) > 1:
+                yield xa[:-1], xb[:-1], n[:-1], y0[:cut], y1[:cut]
+    if held is not None:
+        yield held
+
+
+def _band_slabs(
+    x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+) -> Iterator[_Slabs]:
+    """Canonical slabs of one band's rects, ``_PIECES_AT`` pieces at a time.
+
+    The band is cut at every distinct x; each rect is expanded over the
+    columns it covers, the pieces are sorted by (column, y0), and each
+    column's intervals are merged with a running maximum of y1 —
+    touching intervals coalesce, as ``merge_intervals`` does.  Runs of
+    x-adjacent columns with identical interval lists become one slab.
+    Columns are taken in groups of about ``_PIECES_AT`` pieces, so long
+    rects crossing many columns cannot blow the band's memory up.
+    """
+    xs = np.sort(np.concatenate((x0, x1)))
+    cuts = xs[np.r_[True, xs[1:] != xs[:-1]]]
+    c0 = np.searchsorted(cuts, x0)
+    c1 = np.searchsorted(cuts, x1)
+    covers = np.bincount(c0, minlength=len(cuts)) - np.bincount(c1, minlength=len(cuts))
+    pieces = np.cumsum(np.cumsum(covers))  # pieces in columns [0, c]
+    group = pieces // _PIECES_AT
+    edges = np.flatnonzero(group[1:] != group[:-1]) + 1
+    for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(cuts) - 1]):
+        # a group starts at a column some rect covers, so none is empty
+        live = (c0 < hi) & (c1 > lo)
+        yield _column_slabs(
+            cuts,
+            np.maximum(c0[live], lo),
+            np.minimum(c1[live], hi),
+            y0[live],
+            y1[live],
+        )
+
+
+def _column_slabs(
+    cuts: np.ndarray, c0: np.ndarray, c1: np.ndarray, y0: np.ndarray, y1: np.ndarray
+) -> _Slabs:
+    """Slabs of rects spanning columns ``[c0, c1)`` of ``cuts`` (sorted)."""
+    span = c1 - c0
+    rect = np.repeat(np.arange(len(span)), span)
+    col = np.arange(len(rect)) - np.repeat(np.cumsum(span) - span, span) + c0[rect]
+    lo, hi = int(y0.min()), int(y1.max())
+    height = hi - lo + 1
+    if height * len(cuts) >= 1 << 62:
+        raise LayoutStoreError(f"coordinate out of int32 range: [{lo}, {hi}]")
+    # key = column * height + y keeps every column's keys above the last
+    # column's, so one running maximum over all pieces never crosses one
+    key0 = col * height + (y0[rect] - lo)
+    order = np.argsort(key0, kind="stable")
+    rect, col, key0 = rect[order], col[order], key0[order]
+    key1 = col * height + (y1[rect] - lo)
+    reach = np.maximum.accumulate(key1)
+    first = np.flatnonzero(np.r_[True, key0[1:] > reach[:-1]])
+    iv_col = col[first]
+    iv_y0 = y0[rect[first]]
+    iv_y1 = np.maximum.reduceat(y1[rect], first)
+    # one entry per non-empty column: its first interval and how many
+    starts = np.flatnonzero(np.r_[True, iv_col[1:] != iv_col[:-1]])
+    cols = iv_col[starts]
+    count = np.diff(np.r_[starts, len(iv_col)])
+    # a column extends the slab to its left when that column is its
+    # x-neighbour and holds the same interval list
+    same = np.zeros(len(cols), dtype=bool)
+    same[1:] = (cols[1:] == cols[:-1] + 1) & (count[1:] == count[:-1])
+    owner = np.repeat(np.arange(len(cols)), count)
+    check = np.flatnonzero(same[owner])
+    back = check - count[owner[check]]
+    differs = (iv_y0[check] != iv_y0[back]) | (iv_y1[check] != iv_y1[back])
+    same &= np.bincount(owner[check], weights=differs, minlength=len(cols)) == 0
+    slab = np.flatnonzero(~same)
+    last = np.r_[slab[1:], len(cols)] - 1
+    n = count[slab]
+    pick = np.repeat(starts[slab] - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
+    return cuts[cols[slab]], cuts[cols[last] + 1], n, iv_y0[pick], iv_y1[pick]
 
 
 class _LayerWriter:
     """Streams one layer's canonical quads to the data file.
 
     Tracks, without buffering the layer: the ``Region.digest()``-equal
-    sha256 (hashed slab by slab with the identical byte packing), the
+    sha256 (hashed batch by batch over the identical byte layout), the
     layer extent, and per-run [ymin, ymax] for window-query pruning.
     """
 
-    __slots__ = ("fh", "count", "digest", "extent", "runs", "_buf")
+    __slots__ = ("fh", "count", "digest", "extent", "runs")
 
     def __init__(self, fh) -> None:
         self.fh = fh
@@ -194,45 +330,43 @@ class _LayerWriter:
         self.digest = hashlib.sha256()
         self.extent: list[int] | None = None
         self.runs: list[list[int]] = []
-        self._buf = array("i")
 
-    def write_slab(self, xa: int, xb: int, ys: list[tuple[int, int]]) -> None:
-        if not (_I32_MIN <= xa and xb <= _I32_MAX):
-            raise LayoutStoreError(f"coordinate out of int32 range: [{xa}, {xb}]")
-        self.digest.update(struct.pack("<qqq", xa, xb, len(ys)))
-        for y0, y1 in ys:
-            if not (_I32_MIN <= y0 and y1 <= _I32_MAX):
-                raise LayoutStoreError(f"coordinate out of int32 range: [{y0}, {y1}]")
-            self.digest.update(struct.pack("<qq", y0, y1))
-            self._buf.extend((xa, y0, xb, y1))
-            run = self.count // _RUN_LEN
-            if run == len(self.runs):
-                self.runs.append([y0, y1])
-            else:
-                if y0 < self.runs[run][0]:
-                    self.runs[run][0] = y0
-                if y1 > self.runs[run][1]:
-                    self.runs[run][1] = y1
-            self.count += 1
-            if self.extent is None:
-                self.extent = [xa, y0, xb, y1]
-            else:
-                ext = self.extent
-                if xa < ext[0]:
-                    ext[0] = xa
-                if y0 < ext[1]:
-                    ext[1] = y0
-                if xb > ext[2]:
-                    ext[2] = xb
-                if y1 > ext[3]:
-                    ext[3] = y1
-        if len(self._buf) >= _FLUSH_SLOTS:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._buf:
-            self.fh.write(self._buf.tobytes())
-            self._buf = array("i")
+    def write(
+        self, xa: np.ndarray, xb: np.ndarray, n: np.ndarray, y0: np.ndarray, y1: np.ndarray
+    ) -> None:
+        """Append one x-ordered batch of slabs (see ``_Slabs``)."""
+        ext = [int(xa[0]), int(y0.min()), int(xb[-1]), int(y1.max())]
+        if ext[0] < _I32_MIN or ext[1] < _I32_MIN or ext[2] > _I32_MAX or ext[3] > _I32_MAX:
+            raise LayoutStoreError(
+                f"coordinate out of int32 range: [{min(ext[:2])}, {max(ext[2:])}]"
+            )
+        slab = np.repeat(np.arange(len(n)), n)
+        # struct.pack("<qqq", xa, xb, n) per slab, then "<qq" per interval
+        record = np.empty(3 * len(n) + 2 * len(y0), dtype="<i8")
+        head = 3 * np.arange(len(n)) + 2 * (np.cumsum(n) - n)
+        record[head], record[head + 1], record[head + 2] = xa, xb, n
+        at = 3 * (slab + 1) + 2 * np.arange(len(y0))
+        record[at], record[at + 1] = y0, y1
+        self.digest.update(record.tobytes())
+        quads = np.empty((len(y0), _QUAD), dtype="<i4")
+        quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3] = xa[slab], y0, xb[slab], y1
+        self.fh.write(quads.tobytes())
+        # y-extent per _RUN_LEN rects; the first cut may continue a run
+        cont = (-self.count) % _RUN_LEN
+        cuts = np.arange(cont, len(y0), _RUN_LEN)
+        if cont:
+            cuts = np.r_[0, cuts]
+        ymin = np.minimum.reduceat(y0, cuts).tolist()
+        ymax = np.maximum.reduceat(y1, cuts).tolist()
+        if cont:
+            run = self.runs[-1]
+            run[0], run[1] = min(run[0], ymin.pop(0)), max(run[1], ymax.pop(0))
+        self.runs.extend([lo, hi] for lo, hi in zip(ymin, ymax))
+        self.count += len(y0)
+        if self.extent is not None:
+            lo_x, lo_y, hi_x, hi_y = self.extent
+            ext = [min(lo_x, ext[0]), min(lo_y, ext[1]), max(hi_x, ext[2]), max(hi_y, ext[3])]
+        self.extent = ext
 
 
 def _source_signature(path: str) -> dict:
@@ -244,6 +378,23 @@ def _source_signature(path: str) -> dict:
     }
 
 
+def _create_sibling(path: str) -> tuple[int, str]:
+    """Create a fresh temp file next to ``path``: ``(fd, temp path)``.
+
+    The name is unique per writer and the open exclusive, so concurrent
+    ingests of one store path never share or truncate each other's temp
+    file.  Unlike ``tempfile.mkstemp`` (always 0600) the file gets the
+    mode ``open`` would give it, 0666 less the umask.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    while True:
+        tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def ingest(
     gds_path: str | os.PathLike,
     store_path: str | os.PathLike,
@@ -253,8 +404,12 @@ def ingest(
     """Stream a GDSII file into a ``layoutstore-v1`` flat-rect store.
 
     Peak memory is O(distinct cell content + sort buffers), independent
-    of the flattened rect count.  The store is written to a sibling
-    temp file and moved into place atomically.
+    of the flattened rect count: the sort buffers are one spill buffer
+    per layer, one read block per merged run (at most ``_FAN_IN``), and
+    the rects crossing the current band edge.  The store is written to
+    a temp file of its own next to ``store_path`` and moved into place
+    atomically, so concurrent ingests of one path never clobber each
+    other, and a failed ingest leaves no file behind.
     """
     if sys.byteorder != "little":
         raise LayoutStoreError("layout stores require a little-endian host")
@@ -265,30 +420,26 @@ def ingest(
     cell_name = cell if cell is not None else lib.top_cell_name()
 
     out_dir = os.path.dirname(os.path.abspath(store_path)) or "."
-    sorters: dict[LayerKey, _QuadSorter] = {}
+    layers: dict[LayerKey, _LayerRuns] = {}
     entries: list[dict] = []
     total_rects = 0
     extent: list[int] | None = None
 
     with tempfile.TemporaryFile(dir=out_dir) as spill:
-
-        def emit(key: LayerKey, x0: int, y0: int, x1: int, y1: int) -> None:
-            sorter = sorters.get(key)
-            if sorter is None:
-                sorter = sorters[key] = _QuadSorter()
-            sorter.add(x0, y0, x1, y1)
-            if len(sorter.buf) >= _SPILL_AT:
-                sorter.spill(spill)
-
-        flatten(lib, cell_name, emit)
+        for key, quads in _flat_chunks(lib, cell_name):
+            layer = layers.get(key)
+            if layer is None:
+                layer = layers[key] = _LayerRuns()
+            layer.add(quads, spill)
+        for layer in layers.values():
+            layer.spill(spill)
 
         with tempfile.TemporaryFile(dir=out_dir) as data:
             offset = 0
-            for key in sorted(sorters):
+            for key in sorted(layers):
                 writer = _LayerWriter(data)
-                for xa, xb, ys in _stream_slabs(sorters[key].sorted_quads(spill)):
-                    writer.write_slab(xa, xb, ys)
-                writer.flush()
+                for slabs in _canonical_slabs(spill, layers[key].runs):
+                    writer.write(*slabs)
                 if writer.count == 0:
                     continue
                 entries.append(
@@ -329,17 +480,20 @@ def ingest(
             header = _MAGIC + struct.pack("<I", len(payload)) + payload
             pad = (-len(header)) % 64
 
-            tmp_path = store_path + ".tmp"
-            with open(tmp_path, "wb") as out:
-                out.write(header)
-                out.write(b"\x00" * pad)
-                data.seek(0)
-                while True:
-                    chunk = data.read(1 << 20)
-                    if not chunk:
-                        break
-                    out.write(chunk)
-            os.replace(tmp_path, store_path)
+            fd, tmp_path = _create_sibling(store_path)
+            try:
+                with os.fdopen(fd, "wb") as out:
+                    out.write(header)
+                    out.write(b"\x00" * pad)
+                    data.seek(0)
+                    shutil.copyfileobj(data, out, 1 << 20)
+                os.replace(tmp_path, store_path)
+            except BaseException:
+                try:
+                    os.unlink(tmp_path)
+                except OSError:
+                    pass
+                raise
 
     registry = get_registry()
     registry.inc(names.LAYOUTSTORE_INGESTS)

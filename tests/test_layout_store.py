@@ -13,12 +13,19 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.designgen import LogicBlockSpec, generate_logic_block
-from repro.gdsii import write_gds
-from repro.geometry import Rect, Region
+from repro.gdsii import read_gds, scan_gds, write_gds
+from repro.gdsii import records as rec
+from repro.gdsii import stream as stream_mod
+from repro.gdsii.records import GdsFormatError
+from repro.geometry import Orientation, Point, Polygon, Rect, Region, Transform
+from repro.layout import Layer, Layout
+from repro.layout import store as store_mod
 from repro.layout.store import (
     LayoutStoreError,
     LayoutStoreVersionError,
@@ -158,6 +165,185 @@ class TestStoreFile:
             f.write(data[: len(data) - 64])
         with pytest.raises(LayoutStoreError):
             open_store(path, refresh=True)
+
+
+class TestIngestFailures:
+    def test_int32_overflow_is_an_error_and_writes_nothing(self, tmp_path):
+        """Flattened geometry past 2**31 - 1 cannot be stored as int32:
+        the typed error, and neither a store nor a temp file is left."""
+        lib = Layout("BIG")
+        layer = Layer(10, 0, "M1")
+        child = lib.new_cell("CHILD")
+        child.add_rect(layer, Rect(0, 0, 1000, 1000))
+        top = lib.new_cell("TOP")
+        top.add_rect(layer, Rect(0, 0, 1000, 1000))
+        top.add_ref(child, Transform(2_147_483_000, 0))
+        gds = tmp_path / "big.gds"
+        write_gds(lib, gds)
+        with pytest.raises(LayoutStoreError, match="int32"):
+            ingest(gds, tmp_path / "big.lstore")
+        assert sorted(os.listdir(tmp_path)) == ["big.gds"]
+
+    def test_reference_cycle_is_a_format_error(self, tmp_path):
+        """TOP -> A -> B -> A: the scan names the cycle, before any
+        store file exists, instead of recursing the flatten."""
+
+        def structure(name, children):
+            out = [rec.rec_int2(rec.BGNSTR, [0] * 12), rec.rec_ascii(rec.STRNAME, name)]
+            out.append(rec.rec_empty(rec.BOUNDARY))
+            out.append(rec.rec_int2(rec.LAYER, [10]))
+            out.append(rec.rec_int2(rec.DATATYPE, [0]))
+            out.append(rec.rec_int4(rec.XY, [0, 0, 10, 0, 10, 10, 0, 10, 0, 0]))
+            out.append(rec.rec_empty(rec.ENDEL))
+            for child in children:
+                out.append(rec.rec_empty(rec.SREF))
+                out.append(rec.rec_ascii(rec.SNAME, child))
+                out.append(rec.rec_int4(rec.XY, [20, 0]))
+                out.append(rec.rec_empty(rec.ENDEL))
+            out.append(rec.rec_empty(rec.ENDSTR))
+            return out
+
+        records = [
+            rec.rec_int2(rec.HEADER, [600]),
+            rec.rec_int2(rec.BGNLIB, [0] * 12),
+            rec.rec_ascii(rec.LIBNAME, "CYCLE"),
+            rec.rec_real8(rec.UNITS, [1e-3, 1e-9]),
+            *structure("TOP", ["A"]),
+            *structure("A", ["B"]),
+            *structure("B", ["A"]),
+            rec.rec_empty(rec.ENDLIB),
+        ]
+        gds = tmp_path / "cycle.gds"
+        gds.write_bytes(b"".join(records))
+        with pytest.raises(GdsFormatError, match="A -> B -> A"):
+            scan_gds(gds)
+        with pytest.raises(GdsFormatError, match="cycle"):
+            ingest(gds, tmp_path / "cycle.lstore")
+        assert sorted(os.listdir(tmp_path)) == ["cycle.gds"]
+
+    def test_concurrent_ingests_of_one_path(self, store_setup, tmp_path, monkeypatch):
+        """A second writer that finishes while the first is renaming
+        must not take the first one's temp file away."""
+        _, gds, _ = store_setup
+        path = str(tmp_path / "shared.lstore")
+        real_replace = os.replace
+        nested: list = []
+
+        def racing_replace(src, dst):
+            if not nested:
+                nested.append(None)
+                nested[0] = ingest(gds, path)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        outer = ingest(gds, path)
+        monkeypatch.undo()
+        fresh = ingest(gds, str(tmp_path / "fresh.lstore"))
+        expect = {k: fresh.layer(*k).digest() for k in fresh.layer_keys}
+        for view in (nested[0], outer):
+            assert {k: view.layer(*k).digest() for k in view.layer_keys} == expect
+        assert sorted(os.listdir(tmp_path)) == ["fresh.lstore", "shared.lstore"]
+
+    def test_failed_rename_leaves_no_temp_file(self, store_setup, tmp_path, monkeypatch):
+        _, gds, _ = store_setup
+
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            ingest(gds, str(tmp_path / "x.lstore"))
+        assert os.listdir(tmp_path) == []
+
+
+_FUZZ_LAYERS = [Layer(10, 0, "M1"), Layer(12, 0, "M2")]
+# a 5 nm grid and few sizes, so rects overlap, touch and abut often
+_coord = st.integers(-8, 8).map(lambda v: 5 * v)
+_side = st.sampled_from([5, 10, 20, 40])
+
+
+@st.composite
+def _shapes(draw, cell, min_count):
+    for _ in range(draw(st.integers(min_count, 5))):
+        layer = draw(st.sampled_from(_FUZZ_LAYERS))
+        x, y, w, h = draw(_coord), draw(_coord), draw(_side), draw(_side)
+        if draw(st.booleans()):
+            cell.add_rect(layer, Rect(x, y, x + w, y + h))
+        else:  # an L: non-rectangular, decomposed into slab rects
+            corners = [(x, y), (x + 2 * w, y), (x + 2 * w, y + h), (x + w, y + h)]
+            corners += [(x + w, y + 2 * h), (x, y + 2 * h)]
+            cell.add_polygon(layer, Polygon([Point(px, py) for px, py in corners]))
+
+
+@st.composite
+def _refs(draw, parent, child, min_count):
+    for _ in range(draw(st.integers(min_count, 3))):
+        cols, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        steps = st.sampled_from([5, 10, 20, 40, 60])
+        parent.add_ref(
+            child,
+            Transform(4 * draw(_coord), 4 * draw(_coord), draw(st.sampled_from(list(Orientation)))),
+            columns=cols,
+            rows=rows,
+            dx=draw(steps) if cols > 1 else 0,
+            dy=draw(steps) if rows > 1 else 0,
+        )
+
+
+@st.composite
+def _hierarchies(draw):
+    """TOP -> MID -> LEAF, with LEAF also placed straight from TOP."""
+    lib = Layout("FUZZ")
+    leaf, mid, top = (lib.new_cell(name) for name in ("LEAF", "MID", "TOP"))
+    draw(_shapes(leaf, 1))
+    draw(_shapes(mid, 0))
+    draw(_shapes(top, 0))
+    draw(_refs(mid, leaf, 1))
+    draw(_refs(top, mid, 1))
+    draw(_refs(top, leaf, 0))
+    return lib
+
+
+class TestIngestSweep:
+    """The NumPy ingest against ``Region``'s heap sweep, with flatten
+    chunks, spill runs, merge blocks and fan-in, piece groups and
+    directory runs cut to single digits so every layer spills several
+    runs, merges them in more than one pass and crosses many band
+    seams."""
+
+    @given(
+        lib=_hierarchies(),
+        sizes=st.tuples(*(st.integers(1, 9) for _ in range(5))),
+        fan_in=st.integers(2, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_in_ram_regions(self, tmp_path_factory, lib, sizes, fan_in):
+        chunk, spill_at, merge_block, pieces_at, run_len = sizes
+        d = tmp_path_factory.mktemp("sweep")
+        gds = str(d / "f.gds")
+        write_gds(lib, gds)
+        with mock.patch.object(stream_mod, "_CHUNK", chunk), mock.patch.multiple(
+            store_mod,
+            _SPILL_AT=spill_at,
+            _MERGE_BLOCK=merge_block,
+            _FAN_IN=fan_in,
+            _PIECES_AT=pieces_at,
+            _RUN_LEN=run_len,
+        ):
+            view = ingest(gds, str(d / "f.lstore"))
+        top = read_gds(gds).cell("TOP")
+        for layer in _FUZZ_LAYERS:
+            ram = top.region(layer)
+            stored = view.layer_for(layer)
+            rects = list(ram.rects())
+            assert stored.rects() == rects
+            assert stored.digest() == ram.digest()
+            assert stored.bbox == ram.bbox
+            runs = stored.entry["runs"] if stored.entry else []
+            chunks = [rects[i : i + run_len] for i in range(0, len(rects), run_len)]
+            assert runs == [
+                [min(r.y0 for r in chunk), max(r.y1 for r in chunk)] for chunk in chunks
+            ]
 
 
 class TestScanEquivalence:
