@@ -27,11 +27,18 @@ reads and writes canonical slabs directly:
 * Opening is separable too: erode each slab's intervals along y, drop
   the horizontal runs not longer than ``2*d`` in one NumPy pass over the
   eroded region's grid of slabs and y bands, then grow the surviving
-  vertical runs back along y.  No complement is built.  It serves the
-  DRC width check, the recommended-width score and the litho pinch
-  check.
+  vertical runs back along y.  No complement is built.  When every slab
+  is wider than ``2*d`` it only drops short intervals, in list form;
+  otherwise it runs on the slab arrays of
+  :mod:`repro.geometry.slabarrays`, the one opening the hotspot
+  classifier's pinch check also calls.  It serves the DRC width check
+  and the recommended-width score.
 * Connected components union-find the (slab, interval) pairs across
-  adjacent slabs and regroup each component's slabs.
+  adjacent slabs and regroup each component's slabs.  The DRC splits
+  thousands of small regions per run, where this list-level walk beats
+  NumPy call overhead; the hotspot classifier labels its large printed
+  contours with the array kernel's ``label`` instead, which numbers
+  components in the same order.
 """
 
 from __future__ import annotations
@@ -40,11 +47,8 @@ import hashlib
 import heapq
 import struct
 from bisect import bisect_left, bisect_right
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from repro.geometry.intervals import (
     Interval,
@@ -65,7 +69,8 @@ IntervalOp = Callable[[list[Interval], list[Interval]], list[Interval]]
 _slab_x0 = itemgetter(0)
 _slab_x1 = itemgetter(1)
 
-_OPEN_CELLS = 1 << 20  # grid cells per column block of one opening
+# grid cells per column block of one opening (repro.geometry.slabarrays.opened)
+_OPEN_CELLS = 1 << 20
 
 
 def _slabs_from_rects(rects: Sequence[Rect]) -> list[Slab]:
@@ -241,117 +246,6 @@ def _long_intervals(slabs: list[Slab], two_d: int) -> list[Slab]:
     slab, of canonical slabs (a slab's intervals never touch)."""
     return _merge_slabs(
         [(xa, xb, [iv for iv in ys if iv[1] - iv[0] > two_d]) for xa, xb, ys in slabs]
-    )
-
-
-def _opened(slabs: list[Slab], d: int) -> list[Slab]:
-    """Open canonical slabs by a ``2d x 2d`` box (``d > 0``) as
-    δ_y ∘ γ_x ∘ ε_y; :meth:`Region.opened` derives the identity.
-
-    The grid's columns are the slabs plus one empty column in each
-    x-gap; its rows are the bands between the y-eroded region's distinct
-    y values, plus an empty band below and above.  Columns go in blocks
-    of at most :data:`_OPEN_CELLS` cells, each then extended on both
-    sides until the added columns span more than ``2d``: a run of the
-    block cut off at an extension's edge then measures more than ``2d``
-    and is kept, as its full length would be.
-    """
-    two_d = 2 * d
-    if all(xb - xa > two_d for xa, xb, _ in slabs):
-        # every horizontal run spans at least one whole slab: γ_x is the
-        # identity and δ_y restores what ε_y kept
-        return _long_intervals(slabs, two_d)
-    x0 = np.fromiter(map(_slab_x0, slabs), np.int64, len(slabs))
-    x1 = np.fromiter(map(_slab_x1, slabs), np.int64, len(slabs))
-    xs = np.unique(np.concatenate((x0, x1)))
-    bounds = xs.tolist()
-    yss = [ys for _, _, ys in slabs]
-    ivs = np.fromiter(chain.from_iterable(chain.from_iterable(yss)), np.int64).reshape(-1, 2)
-    col = np.repeat(np.searchsorted(xs, x0), list(map(len, yss)))
-    # ε_y: intervals longer than 2d shrink by d at both ends, others drop
-    long = ivs[:, 1] - ivs[:, 0] > two_d
-    if not long.any():
-        return []
-    col = col[long]
-    lo = ivs[long, 0] + d
-    hi = ivs[long, 1] - d
-    ys = np.unique(np.concatenate((lo, hi)))
-    row_lo = np.searchsorted(ys, lo) + 1
-    row_hi = np.searchsorted(ys, hi) + 1
-    rows = len(ys) + 1
-    ncols = len(bounds) - 1
-    step = max(1, _OPEN_CELLS // rows)
-    run_col: list[np.ndarray] = []
-    run_lo: list[np.ndarray] = []  # indices into ys
-    run_hi: list[np.ndarray] = []
-    dropped = False
-    for c0 in range(0, ncols, step):
-        c1 = min(c0 + step, ncols)
-        e0 = max(bisect_left(bounds, bounds[c0] - two_d) - 1, 0)
-        e1 = min(bisect_right(bounds, bounds[c1] + two_d), ncols)
-        i0, i1 = np.searchsorted(col, (e0, e1))
-        # grid[r, 1 + j] covers band r of block column j; the zero first
-        # and last grid columns close every run
-        w = e1 - e0
-        grid = np.zeros((rows, w + 2), dtype=np.int8)
-        cols = col[i0:i1] - (e0 - 1)
-        grid[row_lo[i0:i1], cols] = 1
-        grid[row_hi[i0:i1], cols] = -1
-        np.cumsum(grid, axis=0, out=grid)
-        # γ_x: a row's runs start and end where coverage changes along x;
-        # in row-major order each start is followed by its own end
-        edges = np.flatnonzero(grid[:, 1:] != grid[:, :-1])
-        run_row, start = np.divmod(edges[0::2], w + 1)
-        end = edges[1::2] - run_row * (w + 1)
-        short = xs[e0 + end] - xs[e0 + start] <= two_d
-        if short.any():
-            # clear each short run's cells, grid columns start + 1 .. end
-            dropped = True
-            first = run_row[short] * (w + 2) + start[short] + 1
-            length = (end - start)[short]
-            skip = np.cumsum(length) - length
-            grid.ravel()[np.repeat(first - skip, length) + np.arange(length.sum())] = 0
-        # the vertical runs of the block's own columns, column by column
-        core = np.ascontiguousarray(grid[:, c0 - e0 + 1 : c1 - e0 + 1].T)
-        edges = np.flatnonzero(core[:, 1:] != core[:, :-1])
-        c, r = np.divmod(edges[0::2], rows - 1)
-        run_col.append(c + c0)
-        run_lo.append(r)
-        run_hi.append(edges[1::2] - c * (rows - 1))
-    if not dropped:
-        return _long_intervals(slabs, two_d)
-    # δ_y: each vertical run grows by d
-    return _column_slabs(
-        bounds,
-        np.concatenate(run_col),
-        ys[np.concatenate(run_lo)] - d,
-        ys[np.concatenate(run_hi)] + d,
-    )
-
-
-def _column_slabs(
-    bounds: list[int], col: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> list[Slab]:
-    """Canonical slabs from intervals ``[lo, hi]`` of grid columns ``col``
-    (column ``k`` spans ``bounds[k]`` to ``bounds[k + 1]``), sorted by
-    column, then by ``lo``; intervals of one column may overlap or touch,
-    and then merge."""
-    if not len(col):
-        return []
-    new = np.empty(len(col), dtype=bool)
-    new[0] = True
-    new[1:] = (col[1:] != col[:-1]) | (lo[1:] > hi[:-1])
-    first = np.flatnonzero(new)
-    last = np.append(first[1:] - 1, len(col) - 1)
-    col = col[first]
-    merged = list(zip(lo[first].tolist(), hi[last].tolist()))
-    cuts = (np.flatnonzero(col[1:] != col[:-1]) + 1).tolist()
-    starts = [0, *cuts]
-    return _merge_slabs(
-        [
-            (bounds[k], bounds[k + 1], merged[a:b])
-            for k, a, b in zip(col[starts].tolist(), starts, [*cuts, len(merged)])
-        ]
     )
 
 
@@ -603,14 +497,23 @@ class Region:
 
         If every slab is wider than ``2d``, so is every horizontal run;
         the opening then keeps each slab's intervals longer than ``2d``
-        and builds no grid.  A large grid goes in column blocks of a
-        fixed cell budget.
+        and builds no grid.  Otherwise the region goes to slab arrays
+        and back around :func:`repro.geometry.slabarrays.opened`, which
+        builds the grid, in column blocks of a fixed cell budget.
         """
         if d < 0:
             raise ValueError("opening size must not be negative")
         if d == 0:
             return self
-        return Region._from_slabs(_opened(self._slabs, d))
+        two_d = 2 * d
+        if all(xb - xa > two_d for xa, xb, _ in self._slabs):
+            # every horizontal run spans at least one whole slab: γ_x is
+            # the identity and δ_y restores what ε_y kept
+            return Region._from_slabs(_long_intervals(self._slabs, two_d))
+        # imported here: the kernel builds regions, so it imports this module
+        from repro.geometry import slabarrays
+
+        return slabarrays.to_region(slabarrays.opened(slabarrays.from_region(self), d))
 
     def closed(self, d: int) -> "Region":
         """Morphological closing: dilate then erode.

@@ -65,6 +65,7 @@ import numpy as np
 
 from repro.gdsii.stream import _flat_chunks, scan_gds
 from repro.geometry import Rect, Region
+from repro.geometry.slabarrays import Slabs, column_slabs
 from repro.obs import get_registry, names
 
 log = logging.getLogger("repro.layout.store")
@@ -189,12 +190,7 @@ def _fan_in(fh, runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return runs
 
 
-# One batch of canonical slabs: (xa, xb, interval count) per slab, then
-# the slabs' y-intervals (y0, y1) back to back.
-_Slabs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _canonical_slabs(fh, runs: list[tuple[int, int]]) -> Iterator[_Slabs]:
+def _canonical_slabs(fh, runs: list[tuple[int, int]]) -> Iterator[Slabs]:
     """``Region(quads)._slabs`` of the runs' quads, in bounded batches.
 
     Each band's quads plus the quads carried over from the band before
@@ -208,7 +204,7 @@ def _canonical_slabs(fh, runs: list[tuple[int, int]]) -> Iterator[_Slabs]:
     if not runs:
         return  # every quad was degenerate
     carry = np.empty((0, _QUAD), dtype=np.int64)
-    held: _Slabs | None = None
+    held: Slabs | None = None
     for quads, x_end in _x_bands(fh, _fan_in(fh, runs)):
         if x_end is not None and not len(quads):
             continue  # nothing new left of X: the carried quads wait
@@ -241,16 +237,15 @@ def _canonical_slabs(fh, runs: list[tuple[int, int]]) -> Iterator[_Slabs]:
 
 def _band_slabs(
     x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
-) -> Iterator[_Slabs]:
+) -> Iterator[Slabs]:
     """Canonical slabs of one band's rects, ``_PIECES_AT`` pieces at a time.
 
-    The band is cut at every distinct x; each rect is expanded over the
-    columns it covers, the pieces are sorted by (column, y0), and each
-    column's intervals are merged with a running maximum of y1 —
-    touching intervals coalesce, as ``merge_intervals`` does.  Runs of
-    x-adjacent columns with identical interval lists become one slab.
-    Columns are taken in groups of about ``_PIECES_AT`` pieces, so long
-    rects crossing many columns cannot blow the band's memory up.
+    The band is cut at every distinct x, and the canonical column
+    builder, :func:`repro.geometry.slabarrays.column_slabs`, unions
+    each column's pieces and joins x-adjacent columns with identical
+    interval lists.  Columns are taken in groups of about ``_PIECES_AT``
+    pieces, so long rects crossing many columns cannot blow the band's
+    memory up.
     """
     xs = np.sort(np.concatenate((x0, x1)))
     cuts = xs[np.r_[True, xs[1:] != xs[:-1]]]
@@ -263,55 +258,17 @@ def _band_slabs(
     for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(cuts) - 1]):
         # a group starts at a column some rect covers, so none is empty
         live = (c0 < hi) & (c1 > lo)
-        yield _column_slabs(
-            cuts,
-            np.maximum(c0[live], lo),
-            np.minimum(c1[live], hi),
-            y0[live],
-            y1[live],
-        )
-
-
-def _column_slabs(
-    cuts: np.ndarray, c0: np.ndarray, c1: np.ndarray, y0: np.ndarray, y1: np.ndarray
-) -> _Slabs:
-    """Slabs of rects spanning columns ``[c0, c1)`` of ``cuts`` (sorted)."""
-    span = c1 - c0
-    rect = np.repeat(np.arange(len(span)), span)
-    col = np.arange(len(rect)) - np.repeat(np.cumsum(span) - span, span) + c0[rect]
-    lo, hi = int(y0.min()), int(y1.max())
-    height = hi - lo + 1
-    if height * len(cuts) >= 1 << 62:
-        raise LayoutStoreError(f"coordinate out of int32 range: [{lo}, {hi}]")
-    # key = column * height + y keeps every column's keys above the last
-    # column's, so one running maximum over all pieces never crosses one
-    key0 = col * height + (y0[rect] - lo)
-    order = np.argsort(key0, kind="stable")
-    rect, col, key0 = rect[order], col[order], key0[order]
-    key1 = col * height + (y1[rect] - lo)
-    reach = np.maximum.accumulate(key1)
-    first = np.flatnonzero(np.r_[True, key0[1:] > reach[:-1]])
-    iv_col = col[first]
-    iv_y0 = y0[rect[first]]
-    iv_y1 = np.maximum.reduceat(y1[rect], first)
-    # one entry per non-empty column: its first interval and how many
-    starts = np.flatnonzero(np.r_[True, iv_col[1:] != iv_col[:-1]])
-    cols = iv_col[starts]
-    count = np.diff(np.r_[starts, len(iv_col)])
-    # a column extends the slab to its left when that column is its
-    # x-neighbour and holds the same interval list
-    same = np.zeros(len(cols), dtype=bool)
-    same[1:] = (cols[1:] == cols[:-1] + 1) & (count[1:] == count[:-1])
-    owner = np.repeat(np.arange(len(cols)), count)
-    check = np.flatnonzero(same[owner])
-    back = check - count[owner[check]]
-    differs = (iv_y0[check] != iv_y0[back]) | (iv_y1[check] != iv_y1[back])
-    same &= np.bincount(owner[check], weights=differs, minlength=len(cols)) == 0
-    slab = np.flatnonzero(~same)
-    last = np.r_[slab[1:], len(cols)] - 1
-    n = count[slab]
-    pick = np.repeat(starts[slab] - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
-    return cuts[cols[slab]], cuts[cols[last] + 1], n, iv_y0[pick], iv_y1[pick]
+        try:
+            slabs = column_slabs(
+                cuts,
+                np.maximum(c0[live], lo),
+                np.minimum(c1[live], hi),
+                y0[live],
+                y1[live],
+            )
+        except OverflowError as exc:
+            raise LayoutStoreError(f"coordinate out of int32 range: {exc}") from exc
+        yield slabs
 
 
 class _LayerWriter:
@@ -334,7 +291,7 @@ class _LayerWriter:
     def write(
         self, xa: np.ndarray, xb: np.ndarray, n: np.ndarray, y0: np.ndarray, y1: np.ndarray
     ) -> None:
-        """Append one x-ordered batch of slabs (see ``_Slabs``)."""
+        """Append one x-ordered batch of slabs (see ``Slabs``)."""
         ext = [int(xa[0]), int(y0.min()), int(xb[-1]), int(y1.max())]
         if ext[0] < _I32_MIN or ext[1] < _I32_MIN or ext[2] > _I32_MAX or ext[3] > _I32_MAX:
             raise LayoutStoreError(

@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.geometry import GridIndex, Rect, Region
+import numpy as np
+
+from repro.geometry import GridIndex, Rect, Region, slabarrays
 from repro.litho.model import LithoModel
-from repro.litho.process import ProcessCondition, ProcessWindow, sweep_contours
+from repro.litho.process import ProcessCondition, ProcessWindow, _sweep_masks, sweep_contours
 
 
 class HotspotKind(Enum):
@@ -67,12 +69,17 @@ def find_hotspots(
     and filtering them keeps results window- and tiling-invariant.
 
     The corner sweep runs through a :class:`~repro.litho.model.SimCache`
-    (one rasterization, one FFT image per unique blur sigma) with indexed
-    detection; ``use_cache=False`` runs the *reference engine* instead —
-    one independent simulation per corner, pairwise detection and merge
-    loops — an independent implementation that must produce identical
-    results, kept as the verification baseline (and the before/after
-    "before" row in the full-chip bench).
+    (one rasterization, one FFT image per unique blur sigma), and each
+    corner's printed raster is classified on canonical slab arrays
+    (:mod:`repro.geometry.slabarrays`) without becoming a region: one
+    sweep intersects it with the drawn window, component labels and
+    point location stand in for per-component regions, and the
+    cross-corner merge is bbox-indexed.  ``use_cache=False`` runs the
+    *reference engine* instead — one independent simulation per corner,
+    pairwise detection and merge loops over regions — an independent
+    implementation that must produce identical results, kept as the
+    verification baseline (and the before/after "before" row in the
+    full-chip bench).
     """
     process = process or ProcessWindow()
     g = grid or model.settings.grid_nm
@@ -84,20 +91,18 @@ def find_hotspots(
     pinch_limit = pinch_limit if pinch_limit is not None else max(min_width // 2, g)
 
     raw: list[Hotspot] = []
-    contours = sweep_contours(
-        model, exposed, window, process.corners(), g, use_cache=use_cache
-    )
     if use_cache:
         # everything derived from the drawn layer alone is corner-invariant:
         # compute it once here instead of once per corner
         ctx = _DrawnContext(drawn_in_window, min_width)
-        for condition, printed in contours:
+        for condition, printed in _sweep_masks(model, exposed, window, process.corners(), g):
             raw.extend(
                 h
-                for h in _hotspots_at_condition(printed, drawn_in_window, condition, pinch_limit, ctx=ctx)
+                for h in _hotspots_at_condition(printed, window, g, condition, pinch_limit, ctx)
                 if h.severity >= min_severity
             )
         return _merge_across_corners(raw)
+    contours = sweep_contours(model, exposed, window, process.corners(), g, use_cache=False)
     for condition, printed in contours:
         raw.extend(
             h
@@ -254,84 +259,88 @@ def _min_feature_width(region: Region) -> int:
 class _DrawnContext:
     """Corner-invariant precomputation for one drawn window.
 
-    The corner sweep calls :func:`_hotspots_at_condition` once per
-    process corner with the *same* drawn region — its component split,
-    the bbox index over those components, and the pinch core (drawn
-    shrunk by the boundary tolerance) never change across corners, so
-    they are computed once per window here instead of once per corner.
+    The corner sweep classifies every process corner against the *same*
+    drawn region, so what depends on it alone is computed once per
+    window here, as canonical slab arrays (:mod:`repro.geometry.
+    slabarrays`): the drawn slabs, a component label per interval, each
+    component's bbox and area (the MISSING markers), and the pinch core
+    (drawn shrunk by the boundary tolerance, on the doubled lattice).
     """
 
-    __slots__ = ("components", "index", "core", "buf")
+    __slots__ = ("drawn", "slabs", "labels", "components", "core")
 
     def __init__(self, drawn: Region, min_width: int, boundary_tol: int = 6):
-        self.components = drawn.components()
-        self.index: GridIndex[int] = GridIndex(cell_size=2048)
-        for i, d in enumerate(self.components):
-            self.index.insert(d.bbox, i)
-        self.core = (
-            drawn.grown(-min(boundary_tol, min_width // 2 - 1)).scaled(2)
-            if not drawn.is_empty
-            else Region()
-        )
-        self.buf: list[int] = []
+        self.drawn = drawn
+        self.slabs = slabarrays.from_region(drawn)
+        self.labels, count = slabarrays.label(self.slabs)
+        x0, y0, x1, y1, area = slabarrays.extents(self.slabs, self.labels, count)
+        self.components = [
+            (Rect(*box), a)
+            for *box, a in zip(x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist(), area.tolist())
+        ]
+        core = drawn.grown(-min(boundary_tol, min_width // 2 - 1)).scaled(2)
+        self.core = slabarrays.from_region(core)
 
 
 def _hotspots_at_condition(
-    printed: Region,
-    drawn: Region,
+    mask: np.ndarray,
+    window: Rect,
+    grid: int,
     condition: ProcessCondition,
     pinch_limit: int,
-    boundary_tol: int = 6,
-    ctx: _DrawnContext | None = None,
+    ctx: _DrawnContext,
 ) -> list[Hotspot]:
+    """Classify one corner's printed raster against the drawn window.
+
+    Works on canonical slab arrays throughout; only a bridging printed
+    component becomes a :class:`Region`.  Hotspots come in the reference
+    engine's order: pinches, bridges, then missing features, each in
+    component order.
+    """
     out: list[Hotspot] = []
-    if ctx is None:
-        min_width = _min_feature_width(drawn) if not drawn.is_empty else 0
-        ctx = _DrawnContext(drawn, min_width, boundary_tol)
-    drawn_components = ctx.components
+    printed = slabarrays.from_raster(mask, window, grid)
+    # the pieces: printed & drawn, per elementary column
+    cuts, col, py0, py1 = slabarrays.pieces(printed, ctx.slabs)
 
     # pinch: printed image of drawn features necks below the limit.
     # Work in the doubled lattice for parity-free opening.  Necks that
     # never reach the feature core (drawn shrunk by the tolerance) are
     # contour staircase artefacts at the boundary, not electrical necks.
-    printed_on_drawn = printed & drawn
-    doubled = printed_on_drawn.scaled(2)
-    necked = doubled - doubled.opened(max(pinch_limit - 1, 1))
-    core = ctx.core
-    for comp in necked.components():
-        if not comp.overlaps(core):
-            continue
-        bb = comp.bbox
-        marker = Rect(bb.x0 // 2, bb.y0 // 2, -(-bb.x1 // 2), -(-bb.y1 // 2))
-        out.append(Hotspot(HotspotKind.PINCH, marker, comp.area / 4.0, condition))
+    doubled = slabarrays.scaled(slabarrays.join_columns(cuts, col, py0, py1), 2)
+    necked = slabarrays.difference(doubled, slabarrays.opened(doubled, max(pinch_limit - 1, 1)))
+    ncuts, ncol, ny0, _ = slabarrays.pieces(necked, ctx.core)
+    if len(ncol):
+        labels, count = slabarrays.label(necked)
+        hit = np.zeros(count, dtype=bool)
+        hit[labels[slabarrays.locate(necked, ncuts[ncol], ny0)]] = True
+        x0, y0, x1, y1, area = (v[hit].tolist() for v in slabarrays.extents(necked, labels, count))
+        for bx0, by0, bx1, by1, a in zip(x0, y0, x1, y1, area):
+            marker = Rect(bx0 // 2, by0 // 2, -(-bx1 // 2), -(-by1 // 2))
+            out.append(Hotspot(HotspotKind.PINCH, marker, a / 4.0, condition))
 
-    # bridge: one printed component shorting >= 2 distinct drawn features.
-    # The overlap tests are bbox-prefiltered through a GridIndex — only
-    # drawn components whose bbox touches the printed component's bbox
-    # pay for an exact overlap sweep; the same pass marks which drawn
-    # components printed at all, giving the missing check for free.
-    drawn_index = ctx.index
-    printed_any = [False] * len(drawn_components)
-    buf = ctx.buf
-    for comp in printed.components():
-        bb = comp.bbox
-        touched = [
-            i
-            for i in sorted(drawn_index.query_into(bb, buf))
-            if comp.overlaps(drawn_components[i])
-        ]
-        for i in touched:
-            printed_any[i] = True
-        if len(touched) >= 2:
-            gap_fill = comp - drawn
-            marker_src = gap_fill if not gap_fill.is_empty else comp
-            out.append(
-                Hotspot(HotspotKind.BRIDGE, marker_src.bbox, marker_src.area, condition)
-            )
-
-    # missing: an entire drawn component printed nothing (equivalently,
-    # no printed component overlaps it)
-    for i, comp in enumerate(drawn_components):
-        if not printed_any[i]:
-            out.append(Hotspot(HotspotKind.MISSING, comp.bbox, comp.area, condition))
+    # bridge: one printed component shorting >= 2 distinct drawn features;
+    # missing: a drawn component no piece falls in
+    printed_any = np.zeros(len(ctx.components), dtype=bool)
+    if len(col):
+        x = cuts[col]
+        drawn_of = ctx.labels[slabarrays.locate(ctx.slabs, x, py0)]
+        printed_any[drawn_of] = True
+        if np.count_nonzero(printed_any) >= 2:
+            labels, count = slabarrays.label(printed)
+            printed_of = labels[slabarrays.locate(printed, x, py0)]
+            # a printed component bridges when its pieces fall in two or
+            # more drawn components: two distinct pairs of one component
+            pairs = np.unique(printed_of * len(ctx.components) + drawn_of) // len(ctx.components)
+            bridging = np.zeros(count, dtype=bool)
+            bridging[pairs[1:][pairs[1:] == pairs[:-1]]] = True
+            for comp_label in bridging.nonzero()[0].tolist():
+                comp = slabarrays.to_region(slabarrays.select(printed, labels == comp_label))
+                gap_fill = comp - ctx.drawn
+                marker_src = gap_fill if not gap_fill.is_empty else comp
+                out.append(
+                    Hotspot(HotspotKind.BRIDGE, marker_src.bbox, marker_src.area, condition)
+                )
+    for i in np.flatnonzero(~printed_any).tolist():
+        bbox, a = ctx.components[i]
+        out.append(Hotspot(HotspotKind.MISSING, bbox, a, condition))
     return out

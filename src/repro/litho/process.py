@@ -5,8 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.geometry import Rect, Region
 from repro.litho.model import LithoModel
+from repro.litho.raster import raster_to_region
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,6 +50,31 @@ class ProcessWindow:
                 yield ProcessCondition(dose, defocus)
 
 
+def _sweep_masks(
+    model: LithoModel,
+    mask: Region,
+    window: Rect,
+    conditions: Iterable[ProcessCondition],
+    grid: int | None = None,
+    use_cache: bool = True,
+) -> Iterator[tuple[ProcessCondition, np.ndarray]]:
+    """Printed rasters at each condition: :func:`sweep_contours` before
+    the contour conversion."""
+    conditions = list(conditions)
+    if use_cache:
+        sim = model.sim_cache(
+            mask, window, grid, defocus_hint=[c.defocus_nm for c in conditions]
+        )
+        for condition in conditions:
+            yield condition, sim.print_image(condition.dose, condition.defocus_nm)
+    else:
+        for condition in conditions:
+            yield (
+                condition,
+                model.print_image(mask, window, condition.dose, condition.defocus_nm, grid),
+            )
+
+
 def sweep_contours(
     model: LithoModel,
     mask: Region,
@@ -66,21 +94,9 @@ def sweep_contours(
     back to one independent scipy simulation per condition —
     bit-identical output, for verification.
     """
-    conditions = list(conditions)
-    if use_cache:
-        sim = model.sim_cache(
-            mask, window, grid, defocus_hint=[c.defocus_nm for c in conditions]
-        )
-        for condition in conditions:
-            yield condition, sim.print_contour(condition.dose, condition.defocus_nm)
-    else:
-        for condition in conditions:
-            yield (
-                condition,
-                model.print_contour(
-                    mask, window, condition.dose, condition.defocus_nm, grid
-                ),
-            )
+    g = grid or model.settings.grid_nm
+    for condition, printed in _sweep_masks(model, mask, window, conditions, g, use_cache):
+        yield condition, raster_to_region(printed, window, g)
 
 
 def pv_bands(

@@ -6,7 +6,11 @@ constant number of ``np.add.at`` updates per rectangle, then one
 inclusive 2-D prefix sum), and :func:`raster_to_region` builds the
 region's canonical slabs directly: runs of identical pixel columns are
 the slabs, and one whole-array transition scan over one column per slab
-gives every slab's y-intervals.
+gives every slab's y-intervals.  That conversion is
+:func:`repro.geometry.slabarrays.from_raster`, which the hotspot
+classifier calls on each printed mask without building a region; it
+reads a pixel by its truth value and checks the mask's shape against
+the window.
 
 Coverage is accumulated in *integer* area units (nm² — all layout
 coordinates are integers) and divided by the pixel area exactly once at
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry import Rect, Region
+from repro.geometry import Rect, Region, slabarrays
 
 
 def _axis_profile(
@@ -80,37 +84,14 @@ def rasterize(region: Region, window: Rect, grid: int) -> np.ndarray:
 
 
 def raster_to_region(mask: np.ndarray, window: Rect, grid: int) -> Region:
-    """Convert a boolean raster back into a Region (pixel-resolution).
+    """Convert a raster back into a Region (pixel-resolution).
 
-    Builds canonical slabs straight from the mask: each run of identical
-    pixel columns is one slab, and one vertical-run scan of its first
-    column gives the slab's y-intervals.  Pixels on the window's high
-    edges are clipped to the window, as the raster was.
+    A pixel is inside when its value is true (non-zero).  The mask must
+    be shaped as :func:`rasterize` shapes the window's raster, ``(ceil(h
+    / grid), ceil(w / grid))``, or ``ValueError`` is raised, as it is for
+    ``grid <= 0``.  Pixels on the window's high edges are clipped to the
+    window, as the raster was.  The slabs come straight from the mask
+    (:func:`repro.geometry.slabarrays.from_raster`): each run of
+    identical pixel columns is one slab.
     """
-    ny, nx = mask.shape
-    if ny == 0 or nx == 0 or not mask.any():
-        return Region()
-    # a column starts a new slab where it differs from its left neighbour
-    starts = np.flatnonzero(
-        np.concatenate(([True], (mask[:, 1:] != mask[:, :-1]).any(axis=0)))
-    )
-    stops = np.append(starts[1:], nx)
-    # one whole-array transition scan over the slabs' columns: +1 marks a
-    # run start, -1 the pixel after a run end; np.nonzero is row-major, so
-    # starts and ends align pairwise, grouped by slab and sorted by row
-    transitions = np.diff(mask[:, starts].T.astype(np.int8), axis=1, prepend=0, append=0)
-    kk, jj = np.nonzero(transitions)
-    rising = transitions[kk, jj] > 0
-    per_slab = np.bincount(kk[rising], minlength=len(starts)).tolist()
-    y0 = (window.y0 + jj[rising] * grid).tolist()
-    y1 = np.minimum(window.y0 + jj[~rising] * grid, window.y1).tolist()
-    x0 = (window.x0 + starts * grid).tolist()
-    x1 = np.minimum(window.x0 + stops * grid, window.x1).tolist()
-    intervals = list(zip(y0, y1))
-    slabs = []
-    pos = 0
-    for xa, xb, n in zip(x0, x1, per_slab):
-        if n:
-            slabs.append((xa, xb, intervals[pos : pos + n]))
-            pos += n
-    return Region._from_slabs(slabs)
+    return slabarrays.to_region(slabarrays.from_raster(mask, window, grid))

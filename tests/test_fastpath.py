@@ -12,13 +12,27 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.designgen import LogicBlockSpec, generate_logic_block, generate_sram_array
 from repro.geometry import Rect, Region
-from repro.litho import ProcessWindow, find_hotspots, pv_bands, scan_full_chip
+from repro.litho import (
+    HotspotKind,
+    ProcessCondition,
+    ProcessWindow,
+    find_hotspots,
+    pv_bands,
+    raster_to_region,
+    rasterize,
+    scan_full_chip,
+)
 from repro.litho.fullchip import _ScanGeometry, _ScanPayload, _scan_params, _tile_key
-from repro.litho.hotspots import _min_feature_width
+from repro.litho.hotspots import (
+    _DrawnContext,
+    _hotspots_at_condition,
+    _hotspots_at_condition_reference,
+    _min_feature_width,
+)
 from repro.obs import MetricsRegistry, names, set_registry
 from repro.parallel import TileCache, tile_grid
 
@@ -327,3 +341,87 @@ class TestMinFeatureWidth:
 
     def test_single_rect(self):
         assert _min_feature_width(Region([Rect(0, 0, 50, 200)])) == 50
+
+
+@st.composite
+def classifier_cases(draw):
+    """A drawn rect soup clipped to a window that may end mid-pixel, a
+    printed mask over it and a pinch limit.  The mask is the drawn
+    layer's raster thresholded, with a few pixels flipped, or noise:
+    flipped pixels and noise bridge drawn features and drop small
+    ones, so bridges and missing features occur, not only pinches."""
+    grid = draw(st.sampled_from([1, 2, 4, 5]))
+    nx, ny = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    w = nx * grid - draw(st.integers(0, grid - 1))
+    h = ny * grid - draw(st.integers(0, grid - 1))
+    x0, y0 = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    window = Rect(x0, y0, x0 + w, y0 + h)
+    boxes = st.tuples(
+        st.integers(x0 - 10, x0 + w), st.integers(y0 - 10, y0 + h),
+        st.integers(1, w // 2 + 5), st.integers(1, h // 2 + 5),
+    )
+    rects = draw(st.lists(boxes, min_size=1, max_size=8))
+    drawn = Region([Rect(x, y, x + bw, y + bh) for x, y, bw, bh in rects]) & Region(window)
+    assume(not drawn.is_empty)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mask = rasterize(drawn, window, grid) >= draw(st.sampled_from([0.25, 0.5, 0.75]))
+        for _ in range(draw(st.integers(0, 6))):
+            mask[rng.integers(ny), rng.integers(nx)] ^= True
+    else:
+        mask = rng.random((ny, nx)) < draw(st.sampled_from([0.3, 0.5, 0.7]))
+    return drawn, window, grid, mask, draw(st.integers(2, 40))
+
+
+# two drawn bars printed as one blob across their gap
+BRIDGE_CASE = (
+    Region([Rect(0, 0, 14, 40), Rect(26, 0, 40, 40)]),
+    Rect(0, 0, 40, 40),
+    2,
+    np.ones((20, 20), dtype=bool),
+    4,
+)
+# the right bar prints, the left one does not
+_missing_mask = np.zeros((8, 9), dtype=bool)
+_missing_mask[:, 6:] = True
+MISSING_CASE = (
+    Region([Rect(0, 0, 10, 38), Rect(30, 0, 43, 38)]),
+    Rect(0, 0, 43, 38),
+    5,
+    _missing_mask,
+    3,
+)
+
+
+def _classify_both(case):
+    drawn, window, grid, mask, limit = case
+    condition = ProcessCondition(0.95, 80.0)
+    ctx = _DrawnContext(drawn, _min_feature_width(drawn))
+    fast = _hotspots_at_condition(mask, window, grid, condition, limit, ctx)
+    printed = raster_to_region(mask, window, grid)
+    return fast, _hotspots_at_condition_reference(printed, drawn, condition, limit)
+
+
+class TestClassifierMatchesReference:
+    """The array classifier against the reference engine, one corner at
+    a time, on the same printed mask."""
+
+    @given(classifier_cases())
+    @example(BRIDGE_CASE)
+    @example(MISSING_CASE)
+    @settings(max_examples=300, deadline=None)
+    def test_random_corners(self, case):
+        fast, reference = _classify_both(case)
+        assert fast == reference
+        # == alone passes NumPy scalars; str() shows them
+        assert [str(h) for h in fast] == [str(h) for h in reference]
+
+    @pytest.mark.parametrize(
+        "case, kind",
+        [(BRIDGE_CASE, HotspotKind.BRIDGE), (MISSING_CASE, HotspotKind.MISSING)],
+        ids=["bridge", "missing"],
+    )
+    def test_pinned_cases_hold_their_kind(self, case, kind):
+        fast, reference = _classify_both(case)
+        assert kind in {h.kind for h in reference}
+        assert fast == reference

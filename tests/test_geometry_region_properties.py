@@ -4,10 +4,12 @@ invariants, canonical-form uniqueness."""
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import Rect, Region
+from repro.geometry import Rect, Region, slabarrays
 from repro.geometry import region as region_module
+from tests.test_litho import _row_run_region, raster_cases
 
 rect_strategy = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 30), st.integers(1, 30)
@@ -313,3 +315,75 @@ def test_wide_operand_predicates_match_constructor(pair):
     assert a.overlaps(b) == (not _reference(a, b, lambda x, y: x & y).is_empty)
     assert a.covers(b) == _reference(a, b, lambda x, y: y & ~x).is_empty
     assert b.covers(a) == _reference(a, b, lambda x, y: x & ~y).is_empty
+
+
+# -- the slab-array kernel against Region -------------------------------------
+
+
+def _arrays(a: Region) -> slabarrays.Slabs:
+    return slabarrays.from_region(a)
+
+
+@given(any_region_strategy)
+def test_slab_arrays_round_trip(a):
+    assert slabarrays.to_region(_arrays(a)) == a
+
+
+@given(st.one_of(st.tuples(any_region_strategy, any_region_strategy), wide_and_small()))
+@settings(max_examples=200)
+def test_slab_array_booleans_match_region(pair):
+    a, b = pair
+    sa, sb = _arrays(a), _arrays(b)
+    assert slabarrays.to_region(slabarrays.join_columns(*slabarrays.pieces(sa, sb))) == a & b
+    assert slabarrays.to_region(slabarrays.difference(sa, sb)) == a - b
+    assert slabarrays.to_region(slabarrays.difference(sb, sa)) == b - a
+
+
+@given(any_region_strategy)
+def test_slab_array_labels_match_components(a):
+    slabs = _arrays(a)
+    labels, count = slabarrays.label(slabs)
+    parts = [slabarrays.to_region(slabarrays.select(slabs, labels == k)) for k in range(count)]
+    assert parts == a.components()
+    x0, y0, x1, y1, area = slabarrays.extents(slabs, labels, count)
+    boxes = list(zip(x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist()))
+    assert boxes == [c.bbox.as_tuple() for c in parts]
+    assert area.tolist() == [c.area for c in parts]
+
+
+@given(any_region_strategy, opening_strategy)
+@settings(max_examples=200)
+def test_slab_array_opening_matches_grown_composition(a, d):
+    assert slabarrays.to_region(slabarrays.opened(_arrays(a), d)) == a.grown(-d).grown(d)
+
+
+@given(any_region_strategy, st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), max_size=30))
+def test_slab_array_locate_finds_the_holding_rect(a, points):
+    rects = list(a.rects())
+    x = np.array([p[0] for p in points], dtype=np.int64)
+    y = np.array([p[1] for p in points], dtype=np.int64)
+    found = slabarrays.locate(_arrays(a), x, y).tolist()
+    for (px, py), at in zip(points, found):
+        holding = [i for i, r in enumerate(rects) if r.x0 <= px < r.x1 and r.y0 <= py < r.y1]
+        assert [at] == (holding or [-1])
+
+
+@given(raster_cases())
+def test_slab_arrays_from_raster_match_row_runs(case):
+    mask, window, grid = case
+    slabs = slabarrays.from_raster(mask, window, grid)
+    assert slabarrays.to_region(slabs) == _row_run_region(mask, window, grid)
+
+
+def test_column_builder_checks_its_sort_keys():
+    # two columns of intervals spanning 2**61: column * height + y would
+    # wrap past int64
+    cuts = np.array([0, 1, 2], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        slabarrays.column_slabs(
+            cuts,
+            np.array([0, 1]),
+            np.array([1, 2]),
+            np.array([-(1 << 60), 0]),
+            np.array([0, 1 << 60]),
+        )

@@ -114,6 +114,29 @@ class TestRaster:
         back = raster_to_region(mask, window, 5)
         assert back == region
 
+    def test_raster_to_region_reads_truth_values(self):
+        # 256 wraps to 0 and 0.5 truncates to 0 in an int8 cast; both
+        # are true, so both masks must give the boolean mask's region
+        mask = np.zeros((4, 5), dtype=bool)
+        mask[1:3, 0:2] = True
+        mask[3, 4] = True
+        window = Rect(0, 0, 47, 38)
+        expect = raster_to_region(mask, window, 10)
+        assert expect == _row_run_region(mask, window, 10)
+        for values in (np.where(mask, 256, 0), np.where(mask, 0.5, 0.0), np.where(mask, -1, 0)):
+            assert raster_to_region(values, window, 10) == expect
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2), (1, 2), (0, 0)])
+    def test_raster_to_region_rejects_wrong_shape(self, shape):
+        # an 8x8 nm window at grid 4 is 2x2 pixels
+        with pytest.raises(ValueError, match="shape"):
+            raster_to_region(np.ones(shape, dtype=bool), Rect(0, 0, 8, 8), 4)
+
+    @pytest.mark.parametrize("grid", [0, -4])
+    def test_raster_to_region_rejects_non_positive_grid(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            raster_to_region(np.ones((2, 2), dtype=bool), Rect(0, 0, 8, 8), grid)
+
 
 class TestAerialImage:
     def test_clear_field_prints_one(self, litho45):
