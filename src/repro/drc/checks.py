@@ -4,26 +4,76 @@ Distance semantics: all checks use the Chebyshev (square) metric, the
 natural metric for Manhattan morphology.  Width and spacing are measured in
 the scaled-by-2 lattice so that "exactly at the limit" passes and anything
 strictly below fails, with no parity restrictions on rule values.
+
+Every check but density runs on canonical slab arrays
+(:mod:`repro.geometry.slabarrays`): it converts its regions once, then
+answers with a few sorts and searches over whole arrays, plus one
+labelling pass where it needs components, instead of Python interval
+algebra per edge, via or crossing.  Violations carry Python ints and
+come in the order the ``Region`` algebra gave them.  Density stays on
+:class:`~repro.geometry.Region`: it is a whole-extent rule of the
+recommended deck, one ``&`` and an area per window.
 """
 
 from __future__ import annotations
 
-from repro.geometry import GridIndex, Rect, Region
+from typing import Sequence
+
+import numpy as np
+
 from repro.drc.violations import Violation
+from repro.geometry import Rect, Region, slabarrays
 from repro.tech.rules import (
     AreaRule,
     DensityRule,
     EnclosureRule,
     ExtensionRule,
+    Rule,
     SpacingRule,
     WidthRule,
 )
 
 
-def _downscale_rect(r: Rect) -> Rect:
-    """Map a rect from the x2 lattice back to layout coordinates
-    (outward-rounded so markers never shrink away)."""
-    return Rect(r.x0 // 2, r.y0 // 2, -(-r.x1 // 2), -(-r.y1 // 2))
+def _violations(
+    rule: Rule, message: str, boxes: Sequence[np.ndarray], measured: np.ndarray | None = None
+) -> list[Violation]:
+    """One violation per entry of the ``(x0, y0, x1, y1)`` arrays
+    ``boxes``, built from Python ints (NumPy scalars print differently)."""
+    markers = map(Rect, *(v.tolist() for v in boxes))
+    if measured is None:
+        return [Violation(rule, marker, message=message) for marker in markers]
+    return [
+        Violation(rule, marker, measured=m, message=message)
+        for marker, m in zip(markers, measured.tolist())
+    ]
+
+
+def _component_violations(
+    rule: Rule, slabs: slabarrays.Slabs, message: str, halve: bool = False
+) -> list[Violation]:
+    """One violation per 4-connected component, marked by its bbox
+    (mapped back from the x2 lattice when ``halve``)."""
+    labels, count = slabarrays.label(slabs)
+    x0, y0, x1, y1, _ = slabarrays.extents(slabs, labels, count)
+    if halve:
+        # outward-rounded, so markers never shrink away
+        x0, y0, x1, y1 = x0 // 2, y0 // 2, -(-x1 // 2), -(-y1 // 2)
+    return _violations(rule, message, (x0, y0, x1, y1))
+
+
+def _holding(
+    slabs: slabarrays.Slabs,
+    labels: np.ndarray,
+    count: int,
+    found: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Per component of ``slabs``: does it hold one of the pieces
+    ``found``, a :func:`~repro.geometry.slabarrays.pieces` output lying
+    inside ``slabs``?"""
+    cuts, col, y0, _ = found
+    hit = np.zeros(count, dtype=bool)
+    hit[labels[slabarrays.locate(slabs, cuts[col], y0)]] = True
+    return hit
 
 
 def check_width(region: Region, rule: WidthRule) -> list[Violation]:
@@ -35,13 +85,14 @@ def check_width(region: Region, rule: WidthRule) -> list[Violation]:
     """
     if region.is_empty or rule.min_width <= 1:
         return []
-    doubled = region.scaled(2)
+    doubled = slabarrays.scaled(slabarrays.from_region(region), 2)
     d = rule.min_width - 1  # erode/dilate amount in x2 lattice
-    narrow = doubled - doubled.opened(d)
-    return [
-        Violation(rule, _downscale_rect(c.bbox), message="narrow feature")
-        for c in narrow.components()
-    ]
+    wide = slabarrays.opened(doubled, d)
+    if wide is doubled:
+        # the opening kept every interval
+        return []
+    narrow = slabarrays.difference(doubled, wide)
+    return _component_violations(rule, narrow, "narrow feature", halve=True)
 
 
 def check_spacing(region: Region, rule: SpacingRule) -> list[Violation]:
@@ -54,76 +105,56 @@ def check_spacing(region: Region, rule: SpacingRule) -> list[Violation]:
     concave corners of a merged polygon (where perpendicular edges meet),
     and ignores pairs shielded by interposed geometry.  Corner-to-corner
     diagonal separations are not checked (the standard projection-rule
-    simplification).
+    simplification).  Pairs of vertical edges come first, then pairs of
+    horizontal ones.
     """
     if region.is_empty:
         return []
+    slabs = slabarrays.from_region(region)
+    return _vertical_pairs(slabs, rule) + _horizontal_pairs(slabs, rule)
+
+
+def _vertical_pairs(slabs: slabarrays.Slabs, rule: SpacingRule) -> list[Violation]:
+    """Each boundary facing +x, joined to the boundaries facing -x across
+    a gap narrower than ``min_space`` (:func:`slabarrays.facing
+    <repro.geometry.slabarrays.facing>`), minus the pairs whose gap box
+    meets the region: those are shielded, and the interposed geometry
+    forms its own pairs.
+
+    One boundary's partners come sorted by ``x // cell``, then the first
+    ``y // cell`` row both span, then rank, with ``cell = max(4 * s,
+    256)``: the order a uniform grid index of that cell size returns
+    them in.
+    """
     s = rule.min_space
-    # classify boundary edges by outward normal (edges() orients the
-    # interior to the left of travel)
-    right_bounds: list[tuple[int, int, int]] = []   # outward +x: (x, y0, y1)
-    left_bounds: list[tuple[int, int, int]] = []    # outward -x
-    top_bounds: list[tuple[int, int, int]] = []     # outward +y: (y, x0, x1)
-    bottom_bounds: list[tuple[int, int, int]] = []  # outward -y
-    for a, b in region.edges():
-        if a.x == b.x:
-            if b.y > a.y:
-                right_bounds.append((a.x, a.y, b.y))
-            else:
-                left_bounds.append((a.x, b.y, a.y))
-        else:
-            if b.x > a.x:
-                bottom_bounds.append((a.y, a.x, b.x))
-            else:
-                top_bounds.append((a.y, b.x, a.x))
-
-    out: list[Violation] = []
-    out.extend(_facing_violations(region, rule, right_bounds, left_bounds, s, vertical=True))
-    out.extend(_facing_violations(region, rule, top_bounds, bottom_bounds, s, vertical=False))
-    return out
+    near, far = slabarrays.boundaries(slabs)
+    i, j = slabarrays.facing(near, far, s)
+    if not len(i):
+        return []
+    (x, a0, a1), (ox, b0, b1) = near, far
+    cell = max(4 * s, 256)
+    row = np.maximum(a0[i] // cell, b0[j] // cell)
+    order = np.lexsort((j, row, ox[j] // cell, i))
+    i, j = i[order], j[order]
+    box = (x[i], np.maximum(a0[i], b0[j]), ox[j], np.minimum(a1[i], b1[j]))
+    keep = ~slabarrays.meets(slabs, *box)
+    box = tuple(v[keep] for v in box)
+    return _violations(rule, "spacing", box, measured=box[2] - box[0])
 
 
-def _facing_violations(
-    region: Region,
-    rule: SpacingRule,
-    low_edges: list[tuple[int, int, int]],
-    high_edges: list[tuple[int, int, int]],
-    s: int,
-    vertical: bool,
-) -> list[Violation]:
-    """Pairs (low outward+, high outward-) with high.pos - low.pos in
-    (0, s), overlapping spans, and an empty gap box."""
-    index: GridIndex[tuple[int, int, int]] = GridIndex(cell_size=max(4 * s, 256))
-    for edge in high_edges:
-        pos, a0, a1 = edge
-        bbox = Rect(pos, a0, pos, a1) if vertical else Rect(a0, pos, a1, pos)
-        index.insert(bbox, edge)
-    out: list[Violation] = []
-    seen: set[tuple] = set()
-    for pos, a0, a1 in low_edges:
-        if vertical:
-            window = Rect(pos + 1, a0, pos + s, a1)
-        else:
-            window = Rect(a0, pos + 1, a1, pos + s)
-        for other in index.query(window):
-            opos, b0, b1 = other
-            gap = opos - pos
-            if not (0 < gap < s):
-                continue
-            o0, o1 = max(a0, b0), min(a1, b1)
-            if o0 >= o1:
-                continue
-            key = (pos, opos, o0, o1)
-            if key in seen:
-                continue
-            seen.add(key)
-            marker = Rect(pos, o0, opos, o1) if vertical else Rect(o0, pos, o1, opos)
-            # shielded pairs (metal in between) are measured to the
-            # interposed geometry instead, which forms its own pair
-            if region.overlaps(Region(marker)):
-                continue
-            out.append(Violation(rule, marker, measured=gap, message="spacing"))
-    return out
+def _horizontal_pairs(slabs: slabarrays.Slabs, rule: SpacingRule) -> list[Violation]:
+    """Consecutive intervals of one slab closer than ``min_space``, slab by
+    slab.  Horizontal boundaries are each one slab's, so two of them
+    overlap in x only inside one slab, and any interval between them
+    shields them: these are the only unshielded horizontal pairs."""
+    xa, xb, n, y0, y1 = slabs
+    slab = np.arange(len(n)).repeat(n)
+    gap = y0[1:] - y1[:-1]
+    lower = ((gap < rule.min_space) & (slab[1:] == slab[:-1])).nonzero()[0]
+    if not len(lower):
+        return []
+    box = (xa[slab[lower]], y1[lower], xb[slab[lower]], y0[lower + 1])
+    return _violations(rule, "spacing", box, measured=gap[lower])
 
 
 def check_layer_spacing(region: Region, other: Region, rule: SpacingRule) -> list[Violation]:
@@ -131,55 +162,56 @@ def check_layer_spacing(region: Region, other: Region, rule: SpacingRule) -> lis
     ``min_space`` of ``region`` (overlap also flags)."""
     if region.is_empty or other.is_empty:
         return []
-    halo = region.grown(rule.min_space)
-    close = halo & other
-    return [
-        Violation(rule, c.bbox, message="inter-layer spacing")
-        for c in close.components()
-    ]
+    s = rule.min_space
+    halo = slabarrays.grown(slabarrays.from_region(region), s, s)
+    close = slabarrays.join_columns(*slabarrays.pieces(halo, slabarrays.from_region(other)))
+    return _component_violations(rule, close, "inter-layer spacing")
 
 
 def check_enclosure(inner: Region, outer: Region, rule: EnclosureRule) -> list[Violation]:
     """Every point of ``inner`` must lie at least ``min_enclosure`` inside
     ``outer``.  A conditional rule only checks inner features that overlap
-    the outer layer at all (e.g. poly contacts vs diffusion contacts)."""
+    the outer layer at all (e.g. poly contacts vs diffusion contacts).
+
+    A component of ``inner`` overlaps (or leaves) a region when it holds
+    a piece of their intersection (or of ``inner`` minus it); labels and
+    point location give each piece its component.
+    """
     if inner.is_empty:
         return []
+    slabs = slabarrays.from_region(inner)
+    around = slabarrays.from_region(outer)
     if rule.conditional:
-        kept = [c for c in inner.components() if c.overlaps(outer)]
-        if not kept:
+        labels, count = slabarrays.label(slabs)
+        kept = _holding(slabs, labels, count, slabarrays.pieces(slabs, around))
+        if not kept.any():
             return []
-        # one-pass union of the kept components (their canonical rects
-        # are already disjoint) — repeated `merged | c` is O(n^2)
-        inner = Region([r for c in kept for r in c.rects()])
+        slabs = slabarrays.select(slabs, kept[labels])
     e = rule.min_enclosure
     if not rule.two_sided:
-        safe = outer.grown(-e) if e > 0 else outer
-        exposed = inner - safe
-        return [
-            Violation(rule, c.bbox, message="insufficient enclosure")
-            for c in exposed.components()
-        ]
-    # two-sided: each inner feature passes if fully covered AND enclosed
-    # by e along at least one axis
-    safe_x = outer.grown(-e, 0) if e > 0 else outer
-    safe_y = outer.grown(0, -e) if e > 0 else outer
-    out: list[Violation] = []
-    for comp in inner.components():
-        if not (safe_x.covers(comp) or safe_y.covers(comp)) or not outer.covers(comp):
-            out.append(Violation(rule, comp.bbox, message="insufficient enclosure"))
-    return out
+        safe = slabarrays.grown(around, -e, -e) if e > 0 else around
+        exposed = slabarrays.difference(slabs, safe)
+        return _component_violations(rule, exposed, "insufficient enclosure")
+    # two-sided: each inner feature passes if enclosed by e along at least
+    # one axis; both safe regions lie inside outer, so it is also covered
+    labels, count = slabarrays.label(slabs)
+    safe_x = slabarrays.grown(around, -e, 0) if e > 0 else around
+    safe_y = slabarrays.grown(around, 0, -e) if e > 0 else around
+    fails = _holding(slabs, labels, count, slabarrays.pieces(slabs, safe_x, subtract=True))
+    fails &= _holding(slabs, labels, count, slabarrays.pieces(slabs, safe_y, subtract=True))
+    box = slabarrays.extents(slabs, labels, count)[:4]
+    return _violations(rule, "insufficient enclosure", [v[fails] for v in box])
 
 
 def check_area(region: Region, rule: AreaRule) -> list[Violation]:
     """Connected components smaller than ``min_area``."""
-    out: list[Violation] = []
-    for comp in region.components():
-        if comp.area < rule.min_area:
-            out.append(
-                Violation(rule, comp.bbox, measured=comp.area, message="small feature")
-            )
-    return out
+    if region.is_empty:
+        return []
+    slabs = slabarrays.from_region(region)
+    labels, count = slabarrays.label(slabs)
+    *box, area = slabarrays.extents(slabs, labels, count)
+    small = area < rule.min_area
+    return _violations(rule, "small feature", [v[small] for v in box], measured=area[small])
 
 
 def _density_origins(lo: int, hi: int, w: int, step: int) -> list[int]:
@@ -223,31 +255,40 @@ def check_extension(layer: Region, other: Region, rule: ExtensionRule) -> list[V
     wherever it crosses it (e.g. poly endcap past active).
 
     For each crossing rect the extension direction is inferred from which
-    sides of the crossing the ``layer`` continues on.
+    sides of the crossing the ``layer`` continues on, probed 1 nm past
+    each side.
     """
-    crossing = layer & other
-    out: list[Violation] = []
+    if layer.is_empty or other.is_empty:
+        return []
+    slabs = slabarrays.from_region(layer)
+    xa, xb, n, y0, y1 = slabarrays.join_columns(
+        *slabarrays.pieces(slabs, slabarrays.from_region(other))
+    )
+    if not len(y0):
+        return []
+    x0, x1 = xa.repeat(n), xb.repeat(n)
     ext = rule.min_extension
-    for g in crossing.rects():
-        above = Rect(g.x0, g.y1, g.x1, g.y1 + ext)
-        below = Rect(g.x0, g.y0 - ext, g.x1, g.y0)
-        right = Rect(g.x1, g.y0, g.x1 + ext, g.y1)
-        left = Rect(g.x0 - ext, g.y0, g.x0, g.y1)
-        continues_v = layer.overlaps(Region(Rect(g.x0, g.y1, g.x1, g.y1 + 1))) or layer.overlaps(
-            Region(Rect(g.x0, g.y0 - 1, g.x1, g.y0))
+    # probes above, below, right and left of each crossing rect
+    probe = slabarrays.meets(
+        slabs,
+        np.concatenate((x0, x0, x1, x0 - 1)),
+        np.concatenate((y1, y0 - 1, y0, y0)),
+        np.concatenate((x1, x1, x1 + 1, x0)),
+        np.concatenate((y1 + 1, y0, y1, y1)),
+    ).reshape(4, -1)
+    # a crossing continued only sideways needs its right and left boxes;
+    # an ambiguous or isolated one, like a vertical one, the boxes above
+    # and below it: the common gate orientation
+    sideways = (probe[2] | probe[3]) & ~(probe[0] | probe[1])
+    # each crossing's two required boxes, one after the other
+    box = [
+        np.where(sideways, pair, other_pair).T.ravel()
+        for pair, other_pair in (
+            ((x1, x0 - ext), (x0, x0)),
+            ((y0, y0), (y1, y0 - ext)),
+            ((x1 + ext, x0), (x1, x1)),
+            ((y1, y1), (y1 + ext, y0)),
         )
-        continues_h = layer.overlaps(Region(Rect(g.x1, g.y0, g.x1 + 1, g.y1))) or layer.overlaps(
-            Region(Rect(g.x0 - 1, g.y0, g.x0, g.y1))
-        )
-        if continues_v and not continues_h:
-            required = [above, below]
-        elif continues_h and not continues_v:
-            required = [right, left]
-        else:
-            # ambiguous or isolated crossing: demand the vertical pair,
-            # the common gate orientation
-            required = [above, below]
-        for req in required:
-            if not layer.covers(Region(req)):
-                out.append(Violation(rule, req, message="short extension"))
-    return out
+    ]
+    short = ~slabarrays.covers(slabs, *box)
+    return _violations(rule, "short extension", [v[short] for v in box])

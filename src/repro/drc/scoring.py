@@ -109,9 +109,10 @@ def _rule_compliance(rule: Rule, regions: dict[Layer, Region], extent: Rect) -> 
     if isinstance(rule, DensityRule):
         region = regions.get(rule.layer, empty)
         violations = checks.check_density(region, rule, extent)
-        # tiles checked: approximate from extent and half-window stepping
+        # the windows check_density evaluates: full size, stepped by half
+        # a window, the last clamped inward
         step = max(rule.window // 2, 1)
-        nx = max(1, -(-(extent.x1 - extent.x0) // step))
-        ny = max(1, -(-(extent.y1 - extent.y0) // step))
+        nx = len(checks._density_origins(extent.x0, extent.x1, rule.window, step))
+        ny = len(checks._density_origins(extent.y0, extent.y1, rule.window, step))
         return max(0.0, 1.0 - len(violations) / (nx * ny))
     return 1.0

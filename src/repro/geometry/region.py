@@ -22,8 +22,11 @@ reads and writes canonical slabs directly:
 * Dilation is separable: each slab's y-intervals grow, then the grown
   slabs are unioned along x with a sliding index window.  General
   erosion (``grown`` with a negative size) is complement-dilate-
-  complement inside a guard frame; the DRC spacing and enclosure checks
-  use it.
+  complement inside a guard frame.  ``grown`` stays on lists: its
+  callers grow small regions one at a time (the critical-area model
+  grows every component), where a few-rect dilation or erosion costs
+  a fifth of the array kernel's with its conversions, or less.  The DRC, which
+  grows whole layers, calls :func:`repro.geometry.slabarrays.grown`.
 * Opening is separable too: erode each slab's intervals along y, drop
   the horizontal runs not longer than ``2*d`` in one NumPy pass over the
   eroded region's grid of slabs and y bands, then grow the surviving
@@ -31,14 +34,12 @@ reads and writes canonical slabs directly:
   is wider than ``2*d`` it only drops short intervals, in list form;
   otherwise it runs on the slab arrays of
   :mod:`repro.geometry.slabarrays`, the one opening the hotspot
-  classifier's pinch check also calls.  It serves the DRC width check
-  and the recommended-width score.
+  classifier's pinch check and the DRC width check also call.  It
+  serves the recommended-width score.
 * Connected components union-find the (slab, interval) pairs across
-  adjacent slabs and regroup each component's slabs.  The DRC splits
-  thousands of small regions per run, where this list-level walk beats
-  NumPy call overhead; the hotspot classifier labels its large printed
-  contours with the array kernel's ``label`` instead, which numbers
-  components in the same order.
+  adjacent slabs and regroup each component's slabs.  The hotspot
+  classifier and the DRC checks label on arrays instead, with the array
+  kernel's ``label``, which numbers components in the same order.
 """
 
 from __future__ import annotations

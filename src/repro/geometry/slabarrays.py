@@ -20,14 +20,23 @@ Every operation here reads and writes that form:
   counts, and the runs where the predicate holds are the result's
   intervals.  :func:`join_columns` makes them canonical;
   :func:`difference` is ``-`` in one call.
-* :func:`opened` is the separable opening :meth:`Region.opened
-  <repro.geometry.Region.opened>` derives.
+* :func:`grown` is :meth:`Region.grown <repro.geometry.Region.grown>`
+  on arrays: dilation through the column builder, erosion as
+  complement-dilate-complement (a y-only erosion just shrinks
+  intervals).  :func:`opened` is the separable opening
+  :meth:`Region.opened <repro.geometry.Region.opened>` derives.
 * :func:`label` finds 4-connected components by min-hooking and pointer
   jumping over the edges between x-adjacent slabs; with
-  :func:`locate`, :func:`extents` and :func:`select` it answers the
-  hotspot classifier's per-component questions without building a
-  region per component.
+  :func:`locate`, :func:`extents` and :func:`select` it answers
+  per-component questions without building a region per component.
+* :func:`meets` and :func:`covers` answer a batch of box queries, the
+  array form of ``overlaps`` and ``covers`` against one box each.
+  :func:`boundaries` lists the vertical boundary pieces, and
+  :func:`facing` joins two sets of them across a gap.
 * :func:`from_raster` reads a printed raster straight into slabs.
+
+The hotspot classifier and every DRC check but density run on these
+operations.
 
 Sort keys combine a column (or slab) index with a y offset as
 ``column * height + (y - lo)``.  Each key range is checked before any
@@ -48,6 +57,9 @@ from repro.geometry.rect import Rect
 # (xa, xb, n, y0, y1): per slab its x-range and interval count, then the
 # slabs' y-intervals back to back
 Slabs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+# (x, y0, y1): vertical boundary pieces
+Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _NONE = np.empty(0, dtype=np.int64)
 EMPTY: Slabs = (_NONE, _NONE, _NONE, _NONE, _NONE)
@@ -167,8 +179,11 @@ def from_raster(mask: np.ndarray, window: Rect, grid: int) -> Slabs:
 
 
 def scaled(slabs: Slabs, k: int) -> Slabs:
-    """Every coordinate times ``k`` (``k > 0``)."""
+    """Every coordinate times ``k`` (``k > 0``); raises ``OverflowError``
+    where a product would leave int64."""
     xa, xb, n, y0, y1 = slabs
+    if len(n) and k * max(-int(xa[0]), int(xb[-1]), -int(y0.min()), int(y1.max())) >= 1 << 63:
+        raise OverflowError(f"coordinates times {k} overflow int64")
     return xa * k, xb * k, n, y0 * k, y1 * k
 
 
@@ -338,6 +353,43 @@ def difference(a: Slabs, b: Slabs) -> Slabs:
 
 
 # -- morphology ------------------------------------------------------------------
+
+
+def grown(slabs: Slabs, dx: int, dy: int) -> Slabs:
+    """Minkowski sum with a ``2dx x 2dy`` box; negative sizes erode, as
+    :meth:`Region.grown <repro.geometry.Region.grown>` does.
+
+    Dilation widens each slab by ``dx`` and grows its intervals by
+    ``dy``, then unions them with :func:`column_slabs`.  An erosion
+    along y alone shrinks each interval and drops those it empties;
+    any other erosion is complement-dilate-complement inside a guard
+    frame.  Mixed signs run the x axis, then the y axis.
+    """
+    if (dx == 0 and dy == 0) or not len(slabs[2]):
+        return slabs
+    if dx >= 0 and dy >= 0:
+        xa, xb, n, y0, y1 = slabs
+        x0, x1 = xa - dx, xb + dx
+        cuts = _distinct(np.concatenate((x0, x1)))
+        c0 = cuts.searchsorted(x0).repeat(n)
+        c1 = cuts.searchsorted(x1).repeat(n)
+        return column_slabs(cuts, c0, c1, y0 - dy, y1 + dy)
+    if dx <= 0 and dy <= 0:
+        if dx == 0:
+            xa, xb, n, y0, y1 = slabs
+            return select((xa, xb, n, y0 - dy, y1 + dy), y1 - y0 > -2 * dy)
+        xa, xb, _, y0, y1 = slabs
+        frame = _box(
+            int(xa[0]) + dx - 1, int(y0.min()) + dy - 1, int(xb[-1]) - dx + 1, int(y1.max()) - dy + 1
+        )
+        return difference(frame, grown(difference(frame, slabs), -dx, -dy))
+    return grown(grown(slabs, dx, 0), 0, dy)
+
+
+def _box(x0: int, y0: int, x1: int, y1: int) -> Slabs:
+    """The slabs of one non-degenerate box."""
+    v = np.array([x0, x1, 1, y0, y1], dtype=np.int64)
+    return v[0:1], v[1:2], v[2:3], v[3:4], v[4:5]
 
 
 def opened(slabs: Slabs, d: int) -> Slabs:
@@ -512,3 +564,143 @@ def extents(
     np.maximum.at(top, labels, y1)
     np.add.at(area, labels, (ib - ia) * (y1 - y0))
     return left, bottom, right, top, area
+
+
+# -- queries ---------------------------------------------------------------------
+
+
+def _box_slabs(
+    slabs: Slabs, x0: np.ndarray, x1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every (box, slab) pair whose x-ranges overlap in more than a
+    point, as ``(box, slab)``, with each box's slab range ``[s0, s1)``."""
+    xa, xb = slabs[0], slabs[1]
+    s0 = xb.searchsorted(x0, "right")
+    s1 = np.maximum(xa.searchsorted(x1, "left"), s0)
+    count = s1 - s0
+    box = np.arange(len(x0)).repeat(count)
+    slab = np.arange(len(box)) - (count.cumsum() - count)[box] + s0[box]
+    return box, slab, s0, s1
+
+
+def meets(
+    slabs: Slabs, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+) -> np.ndarray:
+    """Per box ``[x0, x1] x [y0, y1]``: does the interior of the slabs meet
+    the box's interior?  A degenerate box meets nothing.
+
+    Each (box, slab) pair asks one search on ``slab * height + y`` keys:
+    the slab's first interval ending above the box's bottom meets the
+    box when it starts below the box's top.
+    """
+    out = np.zeros(len(x0), dtype=bool)
+    if not len(slabs[3]) or not len(x0):
+        return out
+    iy0, iy1 = slabs[3], slabs[4]
+    owner, _, key1, lo, height = _interval_keys(slabs)
+    box, slab, _, _ = _box_slabs(slabs, x0, x1)
+    # clipped into [lo, max y1], a box's key stays inside its own slab
+    yy = np.minimum(np.maximum(y0[box], lo), int(iy1.max()))
+    at = key1.searchsorted(slab * height + (yy - lo), "right")
+    ac = np.minimum(at, len(key1) - 1)
+    hit = (at < len(key1)) & (owner[ac] == slab) & (iy0[ac] < y1[box])
+    out[box[hit]] = True
+    return out & (x0 < x1) & (y0 < y1)
+
+
+def covers(
+    slabs: Slabs, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+) -> np.ndarray:
+    """Per box ``[x0, x1] x [y0, y1]``: do the slabs cover it?  A
+    degenerate box is covered.
+
+    A box is covered when the slabs it overlaps span its x-range with
+    no x-gap between them, and in each of them one interval holds its
+    y-range: the slab's last interval starting at or below the box's
+    bottom, found by one search on ``slab * height + y`` keys.
+    """
+    out = (x0 >= x1) | (y0 >= y1)
+    xa, xb, n, iy0, iy1 = slabs
+    if not len(iy0) or not len(x0):
+        return out
+    owner, key0, _, lo, height = _interval_keys(slabs)
+    box, slab, s0, s1 = _box_slabs(slabs, x0, x1)
+    # clipped into [lo - 1, max y1], a box's key stays near its own slab
+    yy = np.minimum(np.maximum(y0[box], lo - 1), int(iy1.max()))
+    at = key0.searchsorted(slab * height + (yy - lo), "right") - 1
+    ac = np.maximum(at, 0)
+    held = (at >= 0) & (owner[ac] == slab) & (iy1[ac] >= y1[box])
+    # gaps[s]: the x-gaps between consecutive slabs up to slab s
+    gaps = np.zeros(len(n), dtype=np.int64)
+    np.cumsum(xa[1:] != xb[:-1], out=gaps[1:])
+    first = np.minimum(s0, len(n) - 1)
+    last = np.maximum(s1 - 1, 0)
+    spanned = (s1 > s0) & (xa[first] <= x0) & (xb[last] >= x1) & (gaps[last] == gaps[first])
+    missed = np.bincount(box[~held], minlength=len(x0)) > 0
+    return out | (spanned & ~missed)
+
+
+def boundaries(slabs: Slabs) -> tuple[Edges, Edges]:
+    """The vertical boundary pieces, as ``(x, y0, y1)`` arrays sorted by
+    ``(x, y0)``: those with the region on their left, then those with it
+    on their right, as :meth:`Region.edges <repro.geometry.Region.edges>`
+    lists them.
+
+    At every slab edge, the pieces with the region on the left are the
+    intervals of the slab ending there minus those of the slab starting
+    there, and the others the reverse.  One ``a - b`` sweep over unit
+    columns gives both: the first half of the columns holds each slab's
+    intervals at its right edge in ``a`` and at its left edge in ``b``,
+    the second half the same intervals the other way round.
+    """
+    xa, xb, n, y0, y1 = slabs
+    if not len(n):
+        return (_NONE, _NONE, _NONE), (_NONE, _NONE, _NONE)
+    xs = _distinct(np.concatenate((xa, xb)))
+    half = len(xs)
+    ends = xs.searchsorted(xb)
+    starts = xs.searchsorted(xa)
+    twice = np.concatenate((n, n))
+    ys0 = np.concatenate((y0, y0))
+    ys1 = np.concatenate((y1, y1))
+    a = np.concatenate((ends, starts + half))
+    b = np.concatenate((starts, ends + half))
+    cuts, col, p0, p1 = pieces((a, a + 1, twice, ys0, ys1), (b, b + 1, twice, ys0, ys1), subtract=True)
+    at = cuts[col]
+    split = int(at.searchsorted(half))
+    return (
+        (xs[at[:split]], p0[:split], p1[:split]),
+        (xs[at[split:] - half], p0[split:], p1[split:]),
+    )
+
+
+def facing(near: Edges, far: Edges, reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)`` of vertical pieces ``near[i] = (x, a0, a1)``
+    and ``far[j] = (x', b0, b1)`` with ``x < x' < x + reach`` whose
+    y-spans overlap in more than a point, sorted by ``(i, j)``.
+
+    Both sets are sorted by ``(x, y0)`` and each x's pieces are disjoint,
+    as :func:`boundaries` gives them.  So one far column's partners of
+    ``[a0, a1]`` are the run with ``b1 > a0`` and ``b0 < a1``: two
+    searches on ``column * height + y`` keys per (near piece, far
+    column) pair.
+    """
+    nx, a0, a1 = near
+    fx, b0, b1 = far
+    if not len(nx) or not len(fx):
+        return _NONE, _NONE
+    columns = fx[_changes(fx)]
+    fc = columns.searchsorted(fx)
+    c0 = columns.searchsorted(nx, "right")
+    count = np.maximum(columns.searchsorted(nx + reach, "left") - c0, 0)
+    if not count.any():
+        return _NONE, _NONE
+    i = np.arange(len(nx)).repeat(count)
+    c = np.arange(len(i)) - (count.cumsum() - count)[i] + c0[i]
+    lo = int(min(a0.min(), b0.min()))
+    height = _height(lo, int(max(a1.max(), b1.max())), len(columns) + 1)
+    base = c * height - lo
+    first = (fc * height + (b1 - lo)).searchsorted(base + a0[i], "right")
+    count = (fc * height + (b0 - lo)).searchsorted(base + a1[i], "left") - first
+    j = np.arange(int(count.sum())) - (count.cumsum() - count).repeat(count) + first.repeat(count)
+    return i.repeat(count), j

@@ -12,7 +12,9 @@ from repro.drc import (
     check_width,
     run_drc,
     run_drc_regions,
+    score_recommended_rules,
 )
+from repro.designgen import LogicBlockSpec, generate_logic_block
 from repro.drc.violations import DrcReport, Violation
 from repro.geometry import Rect, Region
 from repro.layout import Cell, Layer
@@ -296,3 +298,38 @@ class TestViolationObjects:
         report.extend([Violation(SpacingRule("S", M, 45), Rect(0, 0, 1, 1))])
         assert len(report) == 2
         assert set(report.by_rule()) == {"W", "S"}
+
+
+class TestDensityScore:
+    """The density compliance score counts the windows check_density
+    evaluates: full size, stepped by half a window, the last clamped."""
+
+    rule = DensityRule(
+        "D", M, window=100, min_density=0.2, max_density=0.8, severity=RuleSeverity.RECOMMENDED
+    )
+
+    def _score(self, rects, extent):
+        cell = Cell("D")
+        for r in rects:
+            cell.add_rect(M, r)
+        return score_recommended_rules(cell, RuleDeck("d", [self.rule]), window=extent)
+
+    def test_every_window_violating_scores_zero(self):
+        # windows at x = 0, 50, 100: each sees at most 0.25% fill
+        extent = Rect(0, 0, 200, 100)
+        assert len(check_density(Region(Rect(0, 0, 5, 5)), self.rule, extent)) == 3
+        assert self._score([Rect(0, 0, 5, 5)], extent).per_rule["D"] == 0.0
+
+    def test_half_the_windows_violating_scores_half(self):
+        # windows at x = 0 (50% fill) and x = 50 (empty)
+        extent = Rect(0, 0, 150, 100)
+        assert self._score([Rect(0, 0, 50, 100)], extent).per_rule["D"] == 0.5
+
+    def test_benchmark_block_dense_layers_score_zero(self, tech45):
+        # 11700 x 3465 nm against 9000 nm windows: two windows, both
+        # violating on M2 and M3
+        spec = LogicBlockSpec(rows=4, row_width_nm=12000, net_count=24, weak_spots=16, seed=7)
+        top = generate_logic_block(tech45, spec).top
+        per_rule = score_recommended_rules(top, tech45.rules).per_rule
+        assert per_rule["M2.DEN.R"] == 0.0
+        assert per_rule["M3.DEN.R"] == 0.0

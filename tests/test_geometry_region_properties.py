@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry import Rect, Region, slabarrays
 from repro.geometry import region as region_module
@@ -387,3 +387,90 @@ def test_column_builder_checks_its_sort_keys():
             np.array([-(1 << 60), 0]),
             np.array([0, 1 << 60]),
         )
+
+
+# -- the slab-array kernel's whole-set operations against Region ----------------
+
+signed_growth_strategy = st.one_of(st.integers(-40, 40), st.sampled_from([-15, -10, -5, 5, 10, 15]))
+
+
+@given(any_region_strategy, signed_growth_strategy, signed_growth_strategy)
+@settings(max_examples=300)
+def test_slab_array_grown_matches_region(a, dx, dy):
+    """Dilation, erosion and mixed signs; the constructor oracles above
+    check ``Region.grown`` itself."""
+    assert slabarrays.to_region(slabarrays.grown(_arrays(a), dx, dy)) == a.grown(dx, dy)
+
+
+@st.composite
+def region_and_boxes(draw):
+    """A region, and boxes cut at its own coordinates (give or take 1 nm)
+    or anywhere near it, degenerate ones included."""
+    a = draw(any_region_strategy)
+    xs = sorted({v for r in a.rects() for v in (r.x0, r.x1)} | {0})
+    ys = sorted({v for r in a.rects() for v in (r.y0, r.y1)} | {0})
+
+    def coordinate(values):
+        return st.one_of(
+            st.builds(lambda v, d: v + d, st.sampled_from(values), st.sampled_from([-1, 0, 0, 1])),
+            st.integers(-1100, 1100),
+        )
+
+    box = st.builds(
+        lambda x0, y0, x1, y1: Rect(x0, y0, x1, y1),
+        coordinate(xs),
+        coordinate(ys),
+        coordinate(xs),
+        coordinate(ys),
+    )
+    return a, draw(st.lists(box, max_size=12))
+
+
+def _box_arrays(boxes: list[Rect]) -> list[np.ndarray]:
+    return [np.array([getattr(b, f) for b in boxes], dtype=np.int64) for f in ("x0", "y0", "x1", "y1")]
+
+
+# both slabs hold the box's y-range, but nothing covers x in (10, 20)
+@example(case=(Region([Rect(0, 0, 10, 50), Rect(20, 0, 30, 50)]), [Rect(5, 10, 25, 40)]))
+@given(region_and_boxes())
+@settings(max_examples=200)
+def test_slab_array_box_queries_match_region(case):
+    a, boxes = case
+    meets = slabarrays.meets(_arrays(a), *_box_arrays(boxes)).tolist()
+    covers = slabarrays.covers(_arrays(a), *_box_arrays(boxes)).tolist()
+    assert meets == [a.overlaps(Region(b)) for b in boxes]
+    assert covers == [a.covers(Region(b)) for b in boxes]
+
+
+@given(any_region_strategy)
+def test_slab_array_boundaries_match_vertical_edges(a):
+    left_of_interior, right_of_interior = slabarrays.boundaries(_arrays(a))
+    edges = [(p, q) for p, q in a.edges() if p.x == q.x]
+    # an edge travels with the interior on its left: upward on a +x-facing side
+    assert list(zip(*(v.tolist() for v in left_of_interior))) == [
+        (p.x, p.y, q.y) for p, q in edges if q.y > p.y
+    ]
+    assert list(zip(*(v.tolist() for v in right_of_interior))) == [
+        (p.x, q.y, p.y) for p, q in edges if q.y < p.y
+    ]
+
+
+def test_drc_checks_check_their_sort_keys():
+    # y spans 2**62: slab * height + y would wrap past int64
+    from repro.drc import check_area, check_enclosure, check_spacing, check_width
+    from repro.layout import Layer
+    from repro.tech.rules import AreaRule, EnclosureRule, SpacingRule, WidthRule
+
+    m1, v1 = Layer(10, 0, "M1"), Layer(11, 0, "V1")
+    tall = Region([Rect(0, -(1 << 61), 10, 0), Rect(20, 0, 30, 1 << 61)])
+    with pytest.raises(OverflowError):
+        check_spacing(tall, SpacingRule("S", m1, 45))
+    with pytest.raises(OverflowError):
+        check_width(tall, WidthRule("W", m1, 45))
+    # doubled into the width check's lattice, y = 2**62 + 8 leaves int64
+    with pytest.raises(OverflowError):
+        check_width(Region(Rect(0, 0, 10, (1 << 62) + 8)), WidthRule("W", m1, 45))
+    with pytest.raises(OverflowError):
+        check_area(tall, AreaRule("A", m1, 100))
+    with pytest.raises(OverflowError):
+        check_enclosure(tall, tall, EnclosureRule("E", v1, m1, 5, two_sided=True))
