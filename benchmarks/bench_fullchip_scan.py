@@ -112,22 +112,24 @@ def test_a3_fullchip_tiling(benchmark, tech45, bench_block, obs_registry):
 def test_a3f_fastpath_ablation(benchmark, tech45, stdlib45, obs_registry):
     """Before/after rows for the aerial-image fast path.
 
-    ``fast_path=False`` is the reference engine — whole-chip sweep per
-    tile, one independent simulation per corner, pairwise detection and
-    merge loops — the "before" of the PR that introduced SimCache
-    condition reuse and indexed geometry windowing (the vectorized
-    rasterizer serves both engines, so the old-code baseline was slower
-    still).  Both engines must report the identical hotspot population;
-    the speedup, the raster-reuse rate, and the per-tile cache-key cost
-    land in ``extra_info``.  The block is the wide a3p one: geometry
-    windowing only shows its O(chip) -> O(tile) win when the chip is
-    many tiles wide.
+    The "before" row is the reference engine of
+    ``tests/litho_reference.py`` — whole-chip sweep per tile, one
+    independent simulation per corner, pairwise detection and merge
+    loops — the engine SimCache condition reuse and indexed geometry
+    windowing replaced (the vectorized rasterizer serves both engines,
+    so the old-code baseline was slower still).  Both engines must
+    report the identical hotspot population; the speedup, the
+    raster-reuse rate, and the per-tile cache-key cost land in
+    ``extra_info``.  The block is the wide a3p one: geometry windowing
+    only shows its O(chip) -> O(tile) win when the chip is many tiles
+    wide.
     """
     from repro.designgen import LogicBlockSpec, generate_logic_block
-    from repro.geometry import GridIndex, Rect
+    from repro.geometry import GridIndex, Rect, Region
     from repro.litho import ProcessWindow
-    from repro.litho.fullchip import _ScanGeometry, _ScanPayload, _scan_params, _tile_key
+    from repro.litho.fullchip import _ScanGeometry
     from repro.parallel import tile_grid
+    from tests import litho_reference
 
     spec = LogicBlockSpec(rows=3, row_width_nm=26000, net_count=24, seed=7, weak_spots=16)
     block = generate_logic_block(tech45, spec, stdlib45)
@@ -137,50 +139,44 @@ def test_a3f_fastpath_ablation(benchmark, tech45, stdlib45, obs_registry):
 
     def _run():
         t0 = time.perf_counter()
-        legacy = scan_full_chip(
-            model, m1, tile_nm=6000, pinch_limit=limit, fast_path=False
-        )
+        legacy = litho_reference.scan_full_chip(model, m1, tile_nm=6000, pinch_limit=limit)
         t_legacy = time.perf_counter() - t0
         t0 = time.perf_counter()
-        fast = scan_full_chip(
-            model, m1, tile_nm=6000, pinch_limit=limit, fast_path=True
-        )
+        fast = scan_full_chip(model, m1, tile_nm=6000, pinch_limit=limit)
         t_fast = time.perf_counter() - t0
 
-        # cache-key cost: digesting every tile's influence clip from the
-        # whole-chip region (legacy, O(chip) per tile) vs from the
-        # spatial index (O(local)) — this is the entire per-tile cost of
-        # a warm incremental re-scan, measured at a fine 2000 nm tiling
-        # where a production scan has many tiles
+        # cache-key cost: a tile key hashes the digest of the tile's
+        # influence clip; digesting it from the whole-chip region
+        # (legacy, O(chip) per tile) vs from the spatial index
+        # (O(local)) is the entire per-tile cost of a warm incremental
+        # re-scan, measured at a fine 2000 nm tiling where a production
+        # scan has many tiles
         process = ProcessWindow()
         g = model.settings.grid_nm
         halo = max(model.halo_nm(c.defocus_nm) for c in process.corners())
         halo = -(-halo // g) * g
-        pay_fast = _ScanPayload(
-            model, _ScanGeometry(m1), None, process, limit, None, halo, True
-        )
-        pay_legacy = _ScanPayload(model, m1, None, process, limit, None, halo, False)
-        params = _scan_params(pay_fast, limit, None)
+        geometry = _ScanGeometry(m1)
         tiles = tile_grid(m1.bbox, 2000, 200)
-        pay_fast.drawn.near(m1.bbox)  # build the index outside the timer
+        influences = [t.window.expanded(halo) for t in tiles]
+        geometry.near(m1.bbox)  # build the index outside the timer
         t_key_legacy = t_key_fast = float("inf")
-        keys_legacy: list = []
-        keys_fast: list = []
+        digests_legacy: list = []
+        digests_fast: list = []
         for _ in range(5):  # min-of-5: the keys take milliseconds
             t0 = time.perf_counter()
-            keys_legacy = [_tile_key(pay_legacy, t, params, halo) for t in tiles]
+            digests_legacy = [(m1 & Region(w)).digest() for w in influences]
             t_key_legacy = min(t_key_legacy, time.perf_counter() - t0)
             t0 = time.perf_counter()
-            keys_fast = [_tile_key(pay_fast, t, params, halo) for t in tiles]
+            digests_fast = [geometry.clipped(w).digest() for w in influences]
             t_key_fast = min(t_key_fast, time.perf_counter() - t0)
-        assert keys_fast == keys_legacy  # caches stay interchangeable
+        assert digests_fast == digests_legacy  # keys match the whole-chip clips
 
         # micro-bench: allocation-free query_into vs allocating query on
         # the scan's own geometry and tiling
         index: GridIndex[Rect] = GridIndex(cell_size=2048)
         for r in m1.rects():
             index.insert(r, r)
-        windows = [t.window.expanded(halo) for t in tiles] * 200
+        windows = influences * 200
         buf: list[Rect] = []
         t0 = time.perf_counter()
         for w in windows:

@@ -195,26 +195,22 @@ class _ScanGeometry:
 class _ScanPayload:
     """Read-only per-scan state shipped to each worker once.
 
-    On the fast path (the default) ``drawn``/``mask`` are
-    :class:`_ScanGeometry` indexes and ``halo_nm`` is the widest corner
-    halo (pixel-aligned): each tile simulates from the geometry inside
-    its influence window only.  With ``fast_path=False`` they are the
-    whole-chip regions and every tile re-sweeps the full chip — the
-    legacy path, kept as the verification baseline.
+    ``drawn``/``mask`` are :class:`_ScanGeometry` indexes and
+    ``halo_nm`` is the widest corner halo (pixel-aligned): each tile
+    simulates from the geometry inside its influence window only.
     """
 
     model: LithoModel
-    drawn: "_ScanGeometry | Region"
-    mask: "_ScanGeometry | Region | None"
+    drawn: _ScanGeometry
+    mask: _ScanGeometry | None
     process: ProcessWindow
     pinch_limit: int | None
     grid: int | None
     halo_nm: int = 0
-    fast_path: bool = True
 
 
 def _share_payload(payload: _ScanPayload) -> SharedPayload | None:
-    """Repack a fast-path payload's rect lists into shared memory.
+    """Repack a payload's rect lists into shared memory.
 
     Only the small scalar state (model, process window, limits) then
     travels over the pickle wire; the whole-chip geometry is mapped by
@@ -240,21 +236,17 @@ def _scan_tile(payload: _ScanPayload, tile: Tile) -> tuple[list[Hotspot], float]
     """Detect hotspots over one tile window and keep the owned ones."""
     registry = get_registry()
     t0 = time.perf_counter()
-    if payload.fast_path:
-        # geometry local to the tile's optical influence window; exact
-        # because rects beyond it cannot affect the rasterized halo
-        influence = tile.window.expanded(payload.halo_nm)
-        drawn_local = payload.drawn.near(influence)
-        registry.inc(names.SCAN_CLIP_CANDIDATES, len(drawn_local))
-        drawn = Region(drawn_local)
-        mask = None
-        if payload.mask is not None:
-            mask_local = payload.mask.near(influence)
-            registry.inc(names.SCAN_CLIP_CANDIDATES, len(mask_local))
-            mask = Region(mask_local)
-    else:
-        drawn = payload.drawn
-        mask = payload.mask
+    # geometry local to the tile's optical influence window; exact
+    # because rects beyond it cannot affect the rasterized halo
+    influence = tile.window.expanded(payload.halo_nm)
+    drawn_local = payload.drawn.near(influence)
+    registry.inc(names.SCAN_CLIP_CANDIDATES, len(drawn_local))
+    drawn = Region(drawn_local)
+    mask = None
+    if payload.mask is not None:
+        mask_local = payload.mask.near(influence)
+        registry.inc(names.SCAN_CLIP_CANDIDATES, len(mask_local))
+        mask = Region(mask_local)
     found = find_hotspots(
         payload.model,
         drawn,
@@ -263,7 +255,6 @@ def _scan_tile(payload: _ScanPayload, tile: Tile) -> tuple[list[Hotspot], float]
         pinch_limit=payload.pinch_limit,
         grid=payload.grid,
         mask=mask,
-        use_cache=payload.fast_path,
     )
     owned = [
         h for h in found if tile.owns(h.marker.center.x, h.marker.center.y)
@@ -277,12 +268,6 @@ def _scan_tile(payload: _ScanPayload, tile: Tile) -> tuple[list[Hotspot], float]
     return owned, seconds
 
 
-def _clip_influence(geometry: "_ScanGeometry | Region", influence: Rect) -> Region:
-    if isinstance(geometry, _ScanGeometry):
-        return geometry.clipped(influence)
-    return geometry & Region(influence)
-
-
 def _tile_key(payload: _ScanPayload, tile: Tile, params: str, halo_nm: int) -> str:
     """Content hash of everything that can change this tile's result.
 
@@ -291,9 +276,8 @@ def _tile_key(payload: _ScanPayload, tile: Tile, params: str, halo_nm: int) -> s
     model — so any edit outside that window leaves the key (and the
     cached result) valid.  The clip is computed from the spatial index
     (local geometry only), which keeps cache-hit tiles O(local area)
-    instead of O(full chip); the digest — hence the key — is identical
-    to the full-sweep clip's, so caches written by either path replay
-    under the other.
+    instead of O(full chip); its digest — hence the key — is that of
+    the whole-chip region clipped to the same window.
     """
     influence = tile.window.expanded(halo_nm)
     parts = [
@@ -303,10 +287,10 @@ def _tile_key(payload: _ScanPayload, tile: Tile, params: str, halo_nm: int) -> s
         tile.window.as_tuple(),
         tile.x_edge,
         tile.y_edge,
-        _clip_influence(payload.drawn, influence).digest(),
+        payload.drawn.clipped(influence).digest(),
     ]
     if payload.mask is not None:
-        parts.append(_clip_influence(payload.mask, influence).digest())
+        parts.append(payload.mask.clipped(influence).digest())
     return digest_parts(*parts)
 
 
@@ -339,7 +323,6 @@ def scan_full_chip(
     fault_plan: FaultPlan | None = None,
     checkpoint_file: str | None = None,
     resume: bool = False,
-    fast_path: bool = True,
     executor: TileExecutor | None = None,
     sharer: "Callable[[_ScanPayload], SharedPayload | None] | None" = None,
 ) -> FullChipScanReport:
@@ -368,13 +351,13 @@ def scan_full_chip(
     same geometry and scan parameters, and is deleted once the scan
     completes.
 
-    ``fast_path`` (the default) runs the layered aerial-image fast path:
-    geometry is pre-binned into a spatial index so each tile touches only
-    the rects inside its optical influence window, and each tile's corner
-    sweep reuses one mask raster and one FFT image per unique blur sigma
-    (see :class:`~repro.litho.model.SimCache`).  ``fast_path=False`` runs the
-    legacy whole-chip-sweep-per-tile engine; both produce bit-identical
-    reports and interchangeable tile-cache entries.
+    Geometry is pre-binned into a spatial index so each tile touches
+    only the rects inside its optical influence window, and each tile's
+    corner sweep reuses one mask raster and one FFT image per unique
+    blur sigma (see :class:`~repro.litho.model.SimCache`).  The report
+    is bit-identical to the serial whole-chip scan of
+    ``tests/litho_reference.py``, which runs every tile over the whole
+    chip with one independent simulation per corner.
 
     ``executor`` lets a long-lived caller (the verification service)
     supply its own — typically persistent — :class:`TileExecutor`
@@ -394,37 +377,26 @@ def scan_full_chip(
     """
     t_start = time.perf_counter()
     report = FullChipScanReport()
-    if not fast_path:
-        # the legacy whole-chip-sweep baseline works on materialized
-        # regions only; a store input is hydrated once up front
-        if isinstance(drawn, StoreLayer):
-            drawn = drawn.region()
-        if isinstance(mask, StoreLayer):
-            mask = mask.region()
+    g = grid or model.settings.grid_nm
+    if g <= 0:
+        raise ValueError("grid must be positive")
     if extent is None:
         bb = drawn.bbox
         if bb is None:
             return report
         extent = bb
     process = process or ProcessWindow()
-    g = grid or model.settings.grid_nm
     halo = max(model.halo_nm(c.defocus_nm) for c in process.corners())
     halo = -(-halo // g) * g  # pixel-grid round-up, as in aerial_image
-    if fast_path:
-        payload = _ScanPayload(
-            model,
-            _ScanGeometry(drawn),
-            _ScanGeometry(mask) if mask is not None else None,
-            process,
-            pinch_limit,
-            grid,
-            halo,
-            True,
-        )
-    else:
-        payload = _ScanPayload(
-            model, drawn, mask, process, pinch_limit, grid, halo, False
-        )
+    payload = _ScanPayload(
+        model,
+        _ScanGeometry(drawn),
+        _ScanGeometry(mask) if mask is not None else None,
+        process,
+        pinch_limit,
+        grid,
+        halo,
+    )
     checkpoint: TileCache | None = None
     with span("scan.plan"):
         tiles = tile_grid(extent, tile_nm, overlap_nm)
@@ -459,21 +431,18 @@ def scan_full_chip(
                     owned_by_tile[tile.index] = hit
 
     with span("scan.compute"):
-        # only a pooled run pays the pickle wire; the fast path then
-        # moves its geometry into shared memory so the per-worker
-        # payload stays constant-size as the chip grows.  Cache keys
-        # were already computed above from the in-process payload and
-        # are bit-identical either way.
+        # only a pooled run pays the pickle wire; it then moves its
+        # geometry into shared memory so the per-worker payload stays
+        # constant-size as the chip grows.  Cache keys were already
+        # computed above from the in-process payload and are
+        # bit-identical either way.
         tile_executor = executor if executor is not None else TileExecutor(jobs)
         exec_payload: _ScanPayload | SharedPayload = payload
-        store_backed = (
-            fast_path
-            and payload.drawn.store_backed
-            and (payload.mask is None or payload.mask.store_backed)
+        store_backed = payload.drawn.store_backed and (
+            payload.mask is None or payload.mask.store_backed
         )
         if (
             pending
-            and fast_path
             and not store_backed  # store handles already pickle tiny
             and (tile_executor.jobs > 1 or timeout is not None)
         ):

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.geometry import GridIndex, Rect, Region, slabarrays
 from repro.litho.model import LithoModel
-from repro.litho.process import ProcessCondition, ProcessWindow, _sweep_masks, sweep_contours
+from repro.litho.process import ProcessCondition, ProcessWindow, _sweep_masks
 
 
 class HotspotKind(Enum):
@@ -53,7 +53,6 @@ def find_hotspots(
     grid: int | None = None,
     mask: Region | None = None,
     min_severity: float = 50.0,
-    use_cache: bool = True,
 ) -> list[Hotspot]:
     """Detect pinch/bridge/missing hotspots over the process corners.
 
@@ -74,12 +73,12 @@ def find_hotspots(
     (:mod:`repro.geometry.slabarrays`) without becoming a region: one
     sweep intersects it with the drawn window, component labels and
     point location stand in for per-component regions, and the
-    cross-corner merge is bbox-indexed.  ``use_cache=False`` runs the
-    *reference engine* instead — one independent simulation per corner,
-    pairwise detection and merge loops over regions — an independent
-    implementation that must produce identical results, kept as the
-    verification baseline (and the before/after "before" row in the
-    full-chip bench).
+    cross-corner merge is bbox-indexed.  A site seen at several corners
+    reports the first corner, in :meth:`ProcessWindow.corners` order,
+    that reaches its worst severity.  ``tests/litho_reference.py`` holds
+    the reference engine this must agree with: one independent
+    simulation per corner, and pairwise detection and merge loops over
+    regions.
     """
     process = process or ProcessWindow()
     g = grid or model.settings.grid_nm
@@ -90,26 +89,17 @@ def find_hotspots(
     min_width = _min_feature_width(drawn_in_window)
     pinch_limit = pinch_limit if pinch_limit is not None else max(min_width // 2, g)
 
+    # everything derived from the drawn layer alone is corner-invariant:
+    # compute it once here instead of once per corner
+    ctx = _DrawnContext(drawn_in_window, min_width)
     raw: list[Hotspot] = []
-    if use_cache:
-        # everything derived from the drawn layer alone is corner-invariant:
-        # compute it once here instead of once per corner
-        ctx = _DrawnContext(drawn_in_window, min_width)
-        for condition, printed in _sweep_masks(model, exposed, window, process.corners(), g):
-            raw.extend(
-                h
-                for h in _hotspots_at_condition(printed, window, g, condition, pinch_limit, ctx)
-                if h.severity >= min_severity
-            )
-        return _merge_across_corners(raw)
-    contours = sweep_contours(model, exposed, window, process.corners(), g, use_cache=False)
-    for condition, printed in contours:
+    for condition, printed in _sweep_masks(model, exposed, window, process.corners(), g):
         raw.extend(
             h
-            for h in _hotspots_at_condition_reference(printed, drawn_in_window, condition, pinch_limit)
+            for h in _hotspots_at_condition(printed, window, g, condition, pinch_limit, ctx)
             if h.severity >= min_severity
         )
-    return _merge_across_corners_reference(raw)
+    return _merge_across_corners(raw)
 
 
 def _merge_across_corners(raw: list[Hotspot]) -> list[Hotspot]:
@@ -119,7 +109,10 @@ def _merge_across_corners(raw: list[Hotspot]) -> list[Hotspot]:
     Clustering is the closure of "touches the cluster's growing bounding
     box (expanded by 1)" — a bbox-indexed frontier walk, so merging n
     markers costs near-linear index queries instead of the O(n²)
-    pairwise rescans the naive loop needs.
+    pairwise rescans the naive loop needs.  The merged hotspot takes
+    the severity and condition of its worst member; members that tie
+    on severity go to the one earliest in ``raw``, so the result does
+    not depend on the order the walk gathers them.
     """
     out: list[Hotspot] = []
     by_kind: dict[HotspotKind, list[Hotspot]] = {}
@@ -135,98 +128,23 @@ def _merge_across_corners(raw: list[Hotspot]) -> list[Hotspot]:
             if claimed[seed]:
                 continue
             claimed[seed] = True
-            cluster = [group[seed]]
+            cluster = [seed]
             marker = group[seed].marker
             changed = True
             while changed:
                 changed = False
                 # query == "bbox touches the probe window", exactly the
-                # old absorption test, so the closure is identical
+                # reference's absorption test, so the closure is identical
                 for j in index.query_into(marker.expanded(1), buf):
                     if not claimed[j]:
                         claimed[j] = True
-                        cluster.append(group[j])
+                        cluster.append(j)
                         marker = marker.union_bbox(group[j].marker)
                         changed = True
-            worst = max(cluster, key=lambda h: h.severity)
+            # a kind's group keeps raw order, so its index breaks ties
+            worst = group[min(cluster, key=lambda i: (-group[i].severity, i))]
             out.append(Hotspot(kind, marker, worst.severity, worst.condition))
     out.sort(key=lambda h: (-h.severity, h.marker.as_tuple()))
-    return out
-
-
-def _merge_across_corners_reference(raw: list[Hotspot]) -> list[Hotspot]:
-    """The original pairwise-rescan merge: every absorption rescans the
-    whole remaining list.  O(n²) — kept as the independent reference for
-    :func:`_merge_across_corners`, which must produce identical output.
-    """
-    out: list[Hotspot] = []
-    by_kind: dict[HotspotKind, list[Hotspot]] = {}
-    for h in raw:
-        by_kind.setdefault(h.kind, []).append(h)
-    for kind, group in by_kind.items():
-        remaining = list(group)
-        while remaining:
-            seed = remaining.pop(0)
-            cluster = [seed]
-            marker = seed.marker
-            changed = True
-            while changed:
-                changed = False
-                for other in list(remaining):
-                    if marker.expanded(1).touches(other.marker):
-                        cluster.append(other)
-                        remaining.remove(other)
-                        marker = marker.union_bbox(other.marker)
-                        changed = True
-            worst = max(cluster, key=lambda h: h.severity)
-            out.append(Hotspot(kind, marker, worst.severity, worst.condition))
-    out.sort(key=lambda h: (-h.severity, h.marker.as_tuple()))
-    return out
-
-
-def _hotspots_at_condition_reference(
-    printed: Region,
-    drawn: Region,
-    condition: ProcessCondition,
-    pinch_limit: int,
-    boundary_tol: int = 6,
-) -> list[Hotspot]:
-    """The original single-condition detector: plain pairwise loops, no
-    index, no cross-corner reuse.  An independent implementation of
-    :func:`_hotspots_at_condition` (same fixed ``_min_feature_width``),
-    kept as the verification baseline the fast path is tested against.
-    """
-    out: list[Hotspot] = []
-    drawn_components = drawn.components()
-
-    # pinch: the indexed engine's formulation, opened by the plain
-    # erode-then-dilate composition rather than the separable kernel
-    printed_on_drawn = printed & drawn
-    doubled = printed_on_drawn.scaled(2)
-    r = max(pinch_limit - 1, 1)
-    necked = doubled - doubled.grown(-r).grown(r)
-    core = drawn.grown(-min(boundary_tol, _min_feature_width(drawn) // 2 - 1)).scaled(2) if not drawn.is_empty else Region()
-    for comp in necked.components():
-        if (comp & core).is_empty:
-            continue
-        bb = comp.bbox
-        marker = Rect(bb.x0 // 2, bb.y0 // 2, -(-bb.x1 // 2), -(-bb.y1 // 2))
-        out.append(Hotspot(HotspotKind.PINCH, marker, comp.area / 4.0, condition))
-
-    # bridge: every (printed, drawn) component pair pays an exact test
-    for comp in printed.components():
-        touched = [d for d in drawn_components if comp.overlaps(d)]
-        if len(touched) >= 2:
-            gap_fill = comp - drawn
-            marker_src = gap_fill if not gap_fill.is_empty else comp
-            out.append(
-                Hotspot(HotspotKind.BRIDGE, marker_src.bbox, marker_src.area, condition)
-            )
-
-    # missing: an entire drawn component printed nothing
-    for comp in drawn_components:
-        if (printed & comp).is_empty:
-            out.append(Hotspot(HotspotKind.MISSING, comp.bbox, comp.area, condition))
     return out
 
 

@@ -305,6 +305,8 @@ class SimCache:
         self.mask = mask
         self.window = window
         self.grid = grid or model.settings.grid_nm
+        if self.grid <= 0:
+            raise ValueError("grid must be positive")
         self._aligned = (window.x1 - window.x0) % self.grid == 0 and (
             window.y1 - window.y0
         ) % self.grid == 0

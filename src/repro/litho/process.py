@@ -56,23 +56,13 @@ def _sweep_masks(
     window: Rect,
     conditions: Iterable[ProcessCondition],
     grid: int | None = None,
-    use_cache: bool = True,
 ) -> Iterator[tuple[ProcessCondition, np.ndarray]]:
     """Printed rasters at each condition: :func:`sweep_contours` before
     the contour conversion."""
     conditions = list(conditions)
-    if use_cache:
-        sim = model.sim_cache(
-            mask, window, grid, defocus_hint=[c.defocus_nm for c in conditions]
-        )
-        for condition in conditions:
-            yield condition, sim.print_image(condition.dose, condition.defocus_nm)
-    else:
-        for condition in conditions:
-            yield (
-                condition,
-                model.print_image(mask, window, condition.dose, condition.defocus_nm, grid),
-            )
+    sim = model.sim_cache(mask, window, grid, defocus_hint=[c.defocus_nm for c in conditions])
+    for condition in conditions:
+        yield condition, sim.print_image(condition.dose, condition.defocus_nm)
 
 
 def sweep_contours(
@@ -81,7 +71,6 @@ def sweep_contours(
     window: Rect,
     conditions: Iterable[ProcessCondition],
     grid: int | None = None,
-    use_cache: bool = True,
 ) -> Iterator[tuple[ProcessCondition, Region]]:
     """Printed contours at each condition, through one :class:`SimCache
     <repro.litho.model.SimCache>`.
@@ -90,12 +79,13 @@ def sweep_contours(
     image per unique blur sigma (±defocus share one), so a five-corner
     set costs 1 rasterization + 2 FFT convolutions and a 5x3
     :meth:`ProcessWindow.grid` sweep costs 1 + 3 (instead of 15
-    rasterizations + 30 Gaussian filters).  ``use_cache=False`` falls
-    back to one independent scipy simulation per condition —
-    bit-identical output, for verification.
+    rasterizations + 30 Gaussian filters).  Every contour is
+    bit-identical to one independent :meth:`LithoModel.print_contour
+    <repro.litho.model.LithoModel.print_contour>` per condition, the
+    sweep ``tests/litho_reference.py`` runs.
     """
     g = grid or model.settings.grid_nm
-    for condition, printed in _sweep_masks(model, mask, window, conditions, g, use_cache):
+    for condition, printed in _sweep_masks(model, mask, window, conditions, g):
         yield condition, raster_to_region(printed, window, g)
 
 
@@ -106,7 +96,6 @@ def pv_bands(
     process: ProcessWindow | None = None,
     grid: int | None = None,
     conditions: Iterable[ProcessCondition] | None = None,
-    use_cache: bool = True,
 ) -> tuple[Region, Region]:
     """Process-variability bands over the window corners.
 
@@ -114,17 +103,18 @@ def pv_bands(
     and under *any* corner.  The band ``outer - inner`` is the variability
     region whose area is the standard printability metric.  Pass
     ``conditions`` (e.g. :meth:`ProcessWindow.grid`) to band over an
-    arbitrary condition set instead of the five corners.
+    arbitrary, non-empty condition set instead of the five corners.
     """
-    process = process or ProcessWindow()
     if conditions is None:
-        conditions = process.corners()
-    inner: Region | None = None
-    outer = Region()
-    for _, printed in sweep_contours(model, mask, window, conditions, grid, use_cache):
-        inner = printed if inner is None else (inner & printed)
+        conditions = (process or ProcessWindow()).corners()
+    contours = (printed for _, printed in sweep_contours(model, mask, window, conditions, grid))
+    inner = next(contours, None)
+    if inner is None:
+        raise ValueError("pv_bands needs at least one process condition")
+    outer = inner
+    for printed in contours:
+        inner = inner & printed
         outer = outer | printed
-    assert inner is not None
     return inner, outer
 
 

@@ -46,7 +46,7 @@ from repro.layout import Layer
 from repro.layout.cell import Cell
 from repro.layout.library import Layout
 from repro.layout.store import LayoutStoreError, StoreView, ensure_store
-from repro.litho.fullchip import _ScanGeometry, _ScanPayload, _share_payload
+from repro.litho.fullchip import _ScanPayload, _share_payload
 from repro.obs import get_registry, names
 from repro.parallel.shm import ShmArena, SharedPayload
 from repro.service.jobs import BadRequestError
@@ -201,16 +201,14 @@ class LayoutSession:
         Valid because the payload's drawn geometry is rebuilt from this
         session's cached :class:`Region` on every request — same
         canonical rect order, so substituting the resident shared
-        geometry is bit-identical to packing afresh.  Payloads the
-        resident arena cannot represent (mask layers, legacy full-sweep
-        regions) fall back to the per-run packer.
+        geometry is bit-identical to packing afresh.  A payload with a
+        mask layer, which the resident arena cannot represent, falls back
+        to the per-run packer.
         """
         arena_key = ("scan", cell.name, repr(layer))
 
         def sharer(payload: _ScanPayload) -> SharedPayload | None:
-            if payload.mask is not None or not isinstance(
-                payload.drawn, _ScanGeometry
-            ):
+            if payload.mask is not None:
                 return _share_payload(payload)
             with self._lock:
                 cached = self._arenas.get(arena_key)

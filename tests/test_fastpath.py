@@ -1,11 +1,14 @@
 """Equivalence and regression tests for the aerial-image fast path.
 
 The whole fast path — SimCache condition reuse, indexed geometry
-windowing, vectorized rasterization — is sold on one promise: results
-are *bit-identical* to the straightforward per-condition, whole-chip
-engine.  These tests pin that promise at every layer, plus the two bug
-fixes that rode along (tile-key stability on cache hits, and
-``_min_feature_width`` deflation under slab slicing).
+windowing, vectorized rasterization, array-native classification and
+the indexed cross-corner merge — is sold on one promise: results are
+*bit-identical* to the straightforward per-condition, whole-chip
+reference engine kept in ``tests/litho_reference.py``.  These tests pin
+that promise at every layer, plus the bug fixes that rode along
+(tile-key stability on cache hits, ``_min_feature_width`` deflation
+under slab slicing, the merge's severity tie-break, and argument
+checks on ``grid`` and ``pv_bands``).
 """
 
 from __future__ import annotations
@@ -26,15 +29,17 @@ from repro.litho import (
     rasterize,
     scan_full_chip,
 )
-from repro.litho.fullchip import _ScanGeometry, _ScanPayload, _scan_params, _tile_key
+from repro.litho.fullchip import _ScanGeometry
 from repro.litho.hotspots import (
+    Hotspot,
     _DrawnContext,
     _hotspots_at_condition,
-    _hotspots_at_condition_reference,
+    _merge_across_corners,
     _min_feature_width,
 )
 from repro.obs import MetricsRegistry, names, set_registry
-from repro.parallel import TileCache, tile_grid
+from repro.parallel import tile_grid
+from tests import litho_reference
 
 
 @pytest.fixture(scope="module")
@@ -214,94 +219,93 @@ class TestCertifiedPrint:
 
 
 class TestSweepEquivalence:
-    """find_hotspots / pv_bands with the cache on vs off."""
+    """find_hotspots / pv_bands through the SimCache against the
+    reference engine's one simulation per condition."""
 
     @pytest.mark.parametrize("jobs_grid", [None, 8])
     def test_find_hotspots_cache_on_off(self, fastpath_setup, jobs_grid):
         tech, model, m1 = fastpath_setup
         window = Rect(0, 0, 3000, 1400)
         limit = tech.metal_width // 2
-        fast = find_hotspots(
-            model, m1, window, pinch_limit=limit, grid=jobs_grid, use_cache=True
-        )
-        slow = find_hotspots(
-            model, m1, window, pinch_limit=limit, grid=jobs_grid, use_cache=False
+        fast = find_hotspots(model, m1, window, pinch_limit=limit, grid=jobs_grid)
+        slow = litho_reference.find_hotspots(
+            model, m1, window, pinch_limit=limit, grid=jobs_grid
         )
         assert fast == slow
 
     def test_pv_bands_cache_on_off(self, fastpath_setup):
         _, model, m1 = fastpath_setup
         window = Rect(0, 0, 2500, 1200)
-        assert pv_bands(model, m1, window, use_cache=True) == pv_bands(
-            model, m1, window, use_cache=False
-        )
+        assert pv_bands(model, m1, window) == litho_reference.pv_bands(model, m1, window)
 
     def test_pv_bands_over_process_grid_conditions(self, fastpath_setup):
         _, model, m1 = fastpath_setup
         window = Rect(0, 0, 2000, 1000)
         conditions = list(ProcessWindow().grid(n_dose=3, n_defocus=3))
-        fast = pv_bands(model, m1, window, conditions=conditions, use_cache=True)
-        slow = pv_bands(model, m1, window, conditions=conditions, use_cache=False)
+        fast = pv_bands(model, m1, window, conditions=conditions)
+        slow = litho_reference.pv_bands(model, m1, window, conditions=conditions)
         assert fast == slow
 
 
+class TestArgumentChecks:
+    """Bad arguments raise ValueError up front, not deep in the sweep."""
+
+    def test_negative_grid_rejected(self, fastpath_setup):
+        _, model, m1 = fastpath_setup
+        window = Rect(0, 0, 1000, 800)
+        with pytest.raises(ValueError, match="grid must be positive"):
+            model.sim_cache(m1, window, -5)
+        with pytest.raises(ValueError, match="grid must be positive"):
+            find_hotspots(model, m1, window, grid=-5)
+
+    def test_negative_grid_fails_the_scan_instead_of_quarantining(self, fastpath_setup):
+        _, model, m1 = fastpath_setup
+        with pytest.raises(ValueError, match="grid must be positive"):
+            scan_full_chip(model, m1, tile_nm=1200, grid=-5)
+
+    def test_zero_grid_means_the_model_grid(self, fastpath_setup):
+        _, model, m1 = fastpath_setup
+        window = Rect(0, 0, 1000, 800)
+        assert model.sim_cache(m1, window, 0).grid == model.settings.grid_nm
+        assert find_hotspots(model, m1, window, grid=0) == find_hotspots(model, m1, window)
+
+    def test_pv_bands_needs_a_condition(self, fastpath_setup):
+        _, model, m1 = fastpath_setup
+        with pytest.raises(ValueError, match="at least one process condition"):
+            pv_bands(model, m1, Rect(0, 0, 1000, 800), conditions=[])
+
+
 class TestScanFastPath:
-    """scan_full_chip fast_path on vs off, serial, parallel, cached."""
+    """scan_full_chip against the reference engine's serial whole-chip
+    scan, serial and parallel, and its tile keys against whole-chip
+    clips."""
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_fast_equals_legacy(self, fastpath_setup, jobs):
         tech, model, m1 = fastpath_setup
         limit = tech.metal_width // 2
-        fast = scan_full_chip(
-            model, m1, tile_nm=1200, pinch_limit=limit, jobs=jobs, fast_path=True
-        )
-        legacy = scan_full_chip(
-            model, m1, tile_nm=1200, pinch_limit=limit, jobs=jobs, fast_path=False
-        )
+        fast = scan_full_chip(model, m1, tile_nm=1200, pinch_limit=limit, jobs=jobs)
+        legacy = litho_reference.scan_full_chip(model, m1, tile_nm=1200, pinch_limit=limit)
         assert fast.hotspots == legacy.hotspots
         assert fast.tiles == legacy.tiles
 
-    @pytest.mark.parametrize("writer_fast", [True, False])
-    def test_tile_caches_are_interchangeable(self, fastpath_setup, writer_fast):
-        # satellite 1 regression: keys digest the *indexed local clip*,
-        # which must equal the full-sweep clip's digest — so a cache
-        # written by either engine replays warm under the other
-        tech, model, m1 = fastpath_setup
-        limit = tech.metal_width // 2
-        cache = TileCache()
-        first = scan_full_chip(
-            model, m1, tile_nm=1200, pinch_limit=limit, cache=cache,
-            fast_path=writer_fast,
-        )
-        second = scan_full_chip(
-            model, m1, tile_nm=1200, pinch_limit=limit, cache=cache,
-            fast_path=not writer_fast,
-        )
-        assert first.tiles_computed == first.tiles
-        assert second.tiles_computed == 0
-        assert second.cache_hit_rate == 1.0
-        assert second.hotspots == first.hotspots
-
     def test_tile_key_stability(self, fastpath_setup):
-        # the digest from the indexed local clip must equal the digest
-        # from clipping the whole-chip region, tile by tile
-        tech, model, m1 = fastpath_setup
+        # a tile key hashes the indexed local clip of the tile's
+        # influence window, which must equal the whole-chip region
+        # clipped to it, tile by tile
+        _, model, m1 = fastpath_setup
         process = ProcessWindow()
         g = model.settings.grid_nm
         halo = max(model.halo_nm(c.defocus_nm) for c in process.corners())
         halo = -(-halo // g) * g
-        limit = tech.metal_width // 2
-        fast = _ScanPayload(
-            model, _ScanGeometry(m1), None, process, limit, None, halo, True
-        )
-        legacy = _ScanPayload(model, m1, None, process, limit, None, halo, False)
-        params = _scan_params(fast, limit, None)
+        geometry = _ScanGeometry(m1)
         tiles = tile_grid(m1.bbox, 1200, 200)
         assert len(tiles) > 1
         for tile in tiles:
-            assert _tile_key(fast, tile, params, halo) == _tile_key(
-                legacy, tile, params, halo
-            )
+            influence = tile.window.expanded(halo)
+            local, whole = geometry.clipped(influence), m1 & Region(influence)
+            assert local == whole
+            assert local.digest() == whole.digest()
 
     def test_scan_geometry_survives_pickle(self, fastpath_setup):
         import pickle
@@ -399,7 +403,7 @@ def _classify_both(case):
     ctx = _DrawnContext(drawn, _min_feature_width(drawn))
     fast = _hotspots_at_condition(mask, window, grid, condition, limit, ctx)
     printed = raster_to_region(mask, window, grid)
-    return fast, _hotspots_at_condition_reference(printed, drawn, condition, limit)
+    return fast, litho_reference.hotspots_at_condition(printed, drawn, condition, limit)
 
 
 class TestClassifierMatchesReference:
@@ -425,3 +429,64 @@ class TestClassifierMatchesReference:
         fast, reference = _classify_both(case)
         assert kind in {h.kind for h in reference}
         assert fast == reference
+
+
+_SEVERITIES = [50.0, 100.0, 150.0]
+_CONDITIONS = [
+    ProcessCondition(1.0, 0.0), ProcessCondition(0.95, 80.0), ProcessCondition(1.05, 0.0)
+]
+
+
+@st.composite
+def marker_soups(draw):
+    """Raw hotspots as the cross-corner merge receives them: markers in
+    a small field, many chained at a gap of 0, 1 or 2 from the previous
+    one (touching, touching through the merge's 1 nm reach, apart),
+    several kinds, and severities from a few values so members tie."""
+    raw: list[Hotspot] = []
+    for _ in range(draw(st.integers(0, 30))):
+        w, h = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+        if raw and draw(st.booleans()):
+            prev = raw[-1].marker
+            x0 = prev.x1 + draw(st.integers(0, 2))
+            y0 = draw(st.integers(prev.y0 - h, prev.y1))
+        else:
+            x0, y0 = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+        raw.append(
+            Hotspot(
+                draw(st.sampled_from(list(HotspotKind))),
+                Rect(x0, y0, x0 + w, y0 + h),
+                draw(st.sampled_from(_SEVERITIES)),
+                draw(st.sampled_from(_CONDITIONS)),
+            )
+        )
+    return raw
+
+
+# four pinches merging into one site, whose two severity-100 members
+# disagree on the corner: the earliest one in the raw list wins
+TIED_MERGE_CASE = [
+    Hotspot(HotspotKind.PINCH, Rect(41, 32, 60, 46), 50.0, ProcessCondition(0.95, 80.0)),
+    Hotspot(HotspotKind.PINCH, Rect(35, 38, 40, 51), 50.0, ProcessCondition(0.95, 80.0)),
+    Hotspot(HotspotKind.PINCH, Rect(17, 24, 34, 39), 100.0, ProcessCondition(1.0, 0.0)),
+    Hotspot(HotspotKind.PINCH, Rect(31, 37, 44, 53), 100.0, ProcessCondition(0.95, 80.0)),
+]
+
+
+class TestMergeMatchesReference:
+    """The indexed cross-corner merge against the reference engine's
+    pairwise-rescan merge."""
+
+    @given(marker_soups())
+    @example(TIED_MERGE_CASE)
+    @settings(max_examples=300, deadline=None)
+    def test_random_soups(self, raw):
+        merged = _merge_across_corners(raw)
+        reference = litho_reference.merge_across_corners(raw)
+        assert merged == reference
+        assert [str(h) for h in merged] == [str(h) for h in reference]
+
+    def test_tie_goes_to_the_earliest_member(self):
+        (merged,) = _merge_across_corners(TIED_MERGE_CASE)
+        assert merged.marker == Rect(17, 24, 60, 53)
+        assert (merged.severity, merged.condition) == (100.0, ProcessCondition(1.0, 0.0))
