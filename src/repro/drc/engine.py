@@ -171,9 +171,11 @@ def run_drc(
                     for layer in layers_needed
                 }
     else:
-        source = region_source if region_source is not None else cell.region
         with span("drc.flatten"):
-            regions = {layer: source(layer, window) for layer in layers_needed}
+            if region_source is None:
+                regions = cell.regions(layers_needed, window)
+            else:
+                regions = {layer: region_source(layer, window) for layer in layers_needed}
     if window is not None:
         extent = window
     else:

@@ -65,7 +65,7 @@ def score_recommended_rules(
             layer = getattr(rule, attr, None)
             if layer is not None:
                 layers.add(layer)
-    regions = {layer: cell.region(layer, window) for layer in layers}
+    regions = cell.regions(layers, window)
     extent = window or cell.bbox or Rect(0, 0, 1, 1)
     score = DfmScore(weights=dict(weights or {}))
     for rule in rec:

@@ -107,16 +107,25 @@ def extract_nets(cell: Cell, tech: Technology) -> ExtractedNetlist:
     netlist = ExtractedNetlist()
     uf = netlist._uf
 
-    poly = cell.region(L.poly)
-    active = cell.region(L.active)
-    diffusion = active - poly  # gates split source from drain
+    # cuts join layers: contact joins M1 to poly or diffusion; vias join
+    # adjacent metals
+    cut_pairs = [
+        (L.contact, (L.poly, L.active), L.metal1),
+        (L.via1, (L.metal1,), L.metal2),
+        (L.via2, (L.metal2,), L.metal3),
+    ]
+    flat = cell.regions(
+        [L.poly, L.active, L.metal1, L.metal2, L.metal3, *(cut for cut, _, _ in cut_pairs)]
+    )
+    poly = flat[L.poly]
+    diffusion = flat[L.active] - poly  # gates split source from drain
 
     conducting: dict[Layer, Region] = {
         L.poly: poly,
         L.active: diffusion,
-        L.metal1: cell.region(L.metal1),
-        L.metal2: cell.region(L.metal2),
-        L.metal3: cell.region(L.metal3),
+        L.metal1: flat[L.metal1],
+        L.metal2: flat[L.metal2],
+        L.metal3: flat[L.metal3],
     }
     for layer, region in conducting.items():
         comps = region.components()
@@ -127,15 +136,8 @@ def extract_nets(cell: Cell, tech: Technology) -> ExtractedNetlist:
             index.insert(comp.bbox, i)
         netlist._indexes[layer] = index
 
-    # cuts join layers: contact joins M1 to poly or diffusion; vias join
-    # adjacent metals
-    cut_pairs = [
-        (L.contact, (L.poly, L.active), L.metal1),
-        (L.via1, (L.metal1,), L.metal2),
-        (L.via2, (L.metal2,), L.metal3),
-    ]
     for cut_layer, lowers, upper in cut_pairs:
-        for cut in cell.region(cut_layer).rects():
+        for cut in flat[cut_layer].rects():
             upper_node = _node_overlapping(netlist, upper, cut)
             lower_node = None
             for lower_layer in lowers:

@@ -1,0 +1,207 @@
+"""The one GDSII element decoder behind both parsers.
+
+:func:`repro.gdsii.read_gds` (which builds a :class:`~repro.layout.Layout`)
+and :func:`repro.gdsii.scan_gds` (which keeps compact per-cell quad
+tables) read their records through :func:`decode`, so the two cannot
+drift on what a record means or on which input is malformed.
+
+``decode`` turns raw ``(record type, data type, payload)`` records into
+library events:
+
+* ``(LIBRARY, name)`` and ``(UNITS, nm per database unit)``;
+* ``(STRUCTURE, name)`` opens a cell; the elements up to the next
+  ``STRUCTURE`` belong to it;
+* ``(RECT, (layer, datatype), x0, y0, x1, y1)`` for a BOUNDARY that is
+  a rectangle, ``(POLYGON, (layer, datatype), polygon)`` for any other;
+* ``(REF, child, x, y, orientation, columns, rows, step_x, step_y)``
+  for an SREF (one column, one row, zero steps) or an AREF.
+
+A BOUNDARY whose XY is a closed, axis-parallel five-point ring becomes
+a rect straight from its integers.  Any other XY goes through
+:class:`~repro.geometry.Polygon`, which collapses collinear vertices,
+validates the ring and raises on a malformed one; a polygon with four
+vertices left is a rect too.
+
+References are checked here for both parsers: Manhattan angles only,
+an SREF with exactly one XY point, an AREF with three, at least one
+column and one row, axis-parallel steps, a displacement that is a whole
+multiple of the column and row counts, and a non-zero step along every
+repeated axis.  Each violation raises
+:class:`~repro.gdsii.records.GdsFormatError`.
+"""
+
+from __future__ import annotations
+
+import struct
+from typing import Iterable, Iterator
+
+from repro.gdsii import records as rec
+from repro.gdsii.records import GdsFormatError, decode_real8
+from repro.geometry import Orientation, Point, Polygon
+
+# GDSII ANGLE is CCW rotation applied after the (optional) x-axis mirror —
+# exactly our Orientation convention.
+_ORIENT_TO_GDS: dict[Orientation, tuple[bool, float]] = {
+    Orientation.R0: (False, 0.0),
+    Orientation.R90: (False, 90.0),
+    Orientation.R180: (False, 180.0),
+    Orientation.R270: (False, 270.0),
+    Orientation.MX: (True, 0.0),
+    Orientation.MX90: (True, 90.0),
+    Orientation.MX180: (True, 180.0),
+    Orientation.MX270: (True, 270.0),
+}
+_GDS_TO_ORIENT = {v: k for k, v in _ORIENT_TO_GDS.items()}
+
+# decode() event kinds
+LIBRARY = "library"
+UNITS = "units"
+STRUCTURE = "structure"
+RECT = "rect"
+POLYGON = "polygon"
+REF = "ref"
+
+_STRUCTS: dict[tuple[str, int], struct.Struct] = {}
+
+
+def _ints(code: str, payload: bytes) -> tuple[int, ...]:
+    """The big-endian int2 (``code`` "h") or int4 ("i") values of a payload."""
+    key = (code, len(payload) // (2 if code == "h" else 4))
+    unpacker = _STRUCTS.get(key)
+    if unpacker is None:
+        unpacker = _STRUCTS[key] = struct.Struct(f">{key[1]}{code}")
+    return unpacker.unpack(payload)
+
+
+def _ascii(payload: bytes) -> str:
+    return payload.rstrip(b"\x00").decode("ascii")
+
+
+def decode(records: Iterable[tuple[int, int, bytes]]) -> Iterator[tuple]:
+    """The library events of a record stream (see the module docstring)."""
+    library = in_structure = False
+    kind: int | None = None  # BOUNDARY, SREF or AREF while an element is open
+    layer = datatype = 0
+    sname = ""
+    mirrored = False
+    angle = 0.0
+    colrow = (1, 1)
+    xy = b""
+    for rtype, _, payload in records:
+        if kind is not None:
+            if rtype == rec.XY:
+                xy = payload
+                continue
+            if rtype == rec.LAYER:
+                layer = _ints("h", payload)[0]
+                continue
+            if rtype == rec.DATATYPE:
+                datatype = _ints("h", payload)[0]
+                continue
+            if rtype == rec.SNAME:
+                sname = _ascii(payload)
+                continue
+            if rtype == rec.STRANS:
+                mirrored = bool(payload[0] & 0x80)
+                continue
+            if rtype == rec.ANGLE:
+                angle = decode_real8(payload[:8])
+                continue
+            if rtype == rec.COLROW:
+                cols, rows = _ints("h", payload)
+                colrow = (cols, rows)
+                continue
+        if rtype == rec.ENDEL:
+            if not in_structure or kind is None:
+                raise GdsFormatError("element outside structure")
+            if kind == rec.BOUNDARY:
+                yield _boundary((layer, datatype), _ints("i", xy))
+            else:
+                yield _reference(kind, sname, mirrored, angle, colrow, _ints("i", xy))
+            kind = None
+        elif rtype == rec.BOUNDARY or rtype == rec.SREF or rtype == rec.AREF:
+            kind = rtype
+            layer = datatype = 0
+            sname = ""
+            mirrored = False
+            angle = 0.0
+            colrow = (1, 1)
+            xy = b""
+        elif rtype == rec.STRNAME:
+            in_structure = True
+            yield STRUCTURE, _ascii(payload)
+        elif rtype == rec.ENDSTR:
+            in_structure = False
+        elif rtype == rec.LIBNAME:
+            library = True
+            yield LIBRARY, _ascii(payload)
+        elif rtype == rec.UNITS:
+            _, metres_per_dbu = (
+                decode_real8(payload[i : i + 8]) for i in range(0, len(payload), 8)
+            )
+            if not library:
+                raise GdsFormatError("UNITS before LIBNAME")
+            yield UNITS, metres_per_dbu * 1e9
+    if not library:
+        raise GdsFormatError("missing LIBNAME")
+
+
+def _boundary(key: tuple[int, int], xy: tuple[int, ...]) -> tuple:
+    """The RECT or POLYGON event of one BOUNDARY."""
+    if len(xy) == 10:
+        x0, y0, x1, y1, x2, y2, x3, y3, x4, y4 = xy
+        if (
+            x4 == x0
+            and y4 == y0
+            and x0 != x2
+            and y0 != y2
+            and (
+                (y1 == y0 and x1 == x2 and y3 == y2 and x3 == x0)
+                or (x1 == x0 and y1 == y2 and x3 == x2 and y3 == y0)
+            )
+        ):
+            return RECT, key, min(x0, x2), min(y0, y2), max(x0, x2), max(y0, y2)
+    poly = Polygon([Point(xy[i], xy[i + 1]) for i in range(0, len(xy), 2)])
+    if poly.is_rect:
+        box = poly.bbox
+        return RECT, key, box.x0, box.y0, box.x1, box.y1
+    return POLYGON, key, poly
+
+
+def _reference(
+    kind: int,
+    sname: str,
+    mirrored: bool,
+    angle: float,
+    colrow: tuple[int, int],
+    xy: tuple[int, ...],
+) -> tuple:
+    """The REF event of one SREF or AREF."""
+    orient = _GDS_TO_ORIENT.get((mirrored, angle % 360.0))
+    if orient is None:
+        raise GdsFormatError(f"unsupported angle {angle} (Manhattan database)")
+    if kind == rec.SREF:
+        if len(xy) != 2:
+            raise GdsFormatError(
+                f"SREF to {sname!r} needs one XY point, got {len(xy)} coordinates"
+            )
+        return REF, sname, xy[0], xy[1], orient, 1, 1, 0, 0
+    cols, rows = colrow
+    if cols < 1 or rows < 1:
+        raise GdsFormatError(f"AREF to {sname!r} has {cols} x {rows} elements")
+    if len(xy) != 6:
+        raise GdsFormatError(
+            f"AREF to {sname!r} needs three XY points, got {len(xy)} coordinates"
+        )
+    x0, y0, xc, yc, xr, yr = xy
+    if yc != y0 or xr != x0:
+        raise GdsFormatError("only axis-parallel AREF steps are supported")
+    if (xc - x0) % cols or (yr - y0) % rows:
+        raise GdsFormatError(
+            f"AREF to {sname!r} spans ({xc - x0}, {yr - y0}), "
+            f"not a whole multiple of {cols} x {rows} elements"
+        )
+    dx, dy = (xc - x0) // cols, (yr - y0) // rows
+    if (cols > 1 and dx == 0) or (rows > 1 and dy == 0):
+        raise GdsFormatError(f"AREF to {sname!r} repeats {cols} x {rows} with a zero step")
+    return REF, sname, x0, y0, orient, cols, rows, dx, dy

@@ -9,26 +9,13 @@ database is integer-lattice Manhattan by design.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
-from repro.geometry import Orientation, Point, Polygon, Rect, Transform
+from repro.gdsii import elements as el
 from repro.gdsii import records as rec
+from repro.gdsii.elements import _ORIENT_TO_GDS
 from repro.gdsii.records import GdsFormatError
+from repro.geometry import Polygon, Rect, Transform
 from repro.layout import Cell, Layer, Layout
-
-# GDSII ANGLE is CCW rotation applied after the (optional) x-axis mirror —
-# exactly our Orientation convention.
-_ORIENT_TO_GDS: dict[Orientation, tuple[bool, float]] = {
-    Orientation.R0: (False, 0.0),
-    Orientation.R90: (False, 90.0),
-    Orientation.R180: (False, 180.0),
-    Orientation.R270: (False, 270.0),
-    Orientation.MX: (True, 0.0),
-    Orientation.MX90: (True, 90.0),
-    Orientation.MX180: (True, 180.0),
-    Orientation.MX270: (True, 270.0),
-}
-_GDS_TO_ORIENT = {v: k for k, v in _ORIENT_TO_GDS.items()}
 
 _EPOCH = [1970, 1, 1, 0, 0, 0]  # fixed timestamps keep output deterministic
 
@@ -129,125 +116,48 @@ def _reference(ref) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _PendingRef:
-    parent: str
-    child: str
-    transform: Transform
-    columns: int = 1
-    rows: int = 1
-    dx: int = 0
-    dy: int = 0
-
-
-@dataclass
-class _ElementState:
-    kind: str = ""
-    layer: int = 0
-    datatype: int = 0
-    sname: str = ""
-    mirrored: bool = False
-    angle: float = 0.0
-    colrow: tuple[int, int] = (1, 1)
-    xy: list[int] = field(default_factory=list)
-
-
 def read_gds(path: str | os.PathLike, layer_names: dict[tuple[int, int], str] | None = None) -> Layout:
     """Parse a GDSII stream file into a layout library.
 
     ``layer_names`` optionally maps (layer, datatype) to human names.
+    Elements are decoded by :func:`repro.gdsii.elements.decode`, which
+    :func:`repro.gdsii.scan_gds` shares.
     """
     with open(path, "rb") as f:
         data = f.read()
     layer_names = layer_names or {}
+    layers: dict[tuple[int, int], Layer] = {}
     layout: Layout | None = None
     current: Cell | None = None
-    element: _ElementState | None = None
-    pending: list[_PendingRef] = []
+    pending: list[tuple] = []  # (parent, child, x, y, orientation, cols, rows, dx, dy)
     cells: dict[str, Cell] = {}
 
-    for record in rec.iter_records(data):
-        t = record.rtype
-        if t == rec.HEADER or t == rec.BGNLIB or t == rec.BGNSTR:
-            continue
-        if t == rec.LIBNAME:
-            layout = Layout(record.ascii())
-        elif t == rec.UNITS:
-            user_per_dbu, metres_per_dbu = record.real8()
-            if layout is None:
-                raise GdsFormatError("UNITS before LIBNAME")
-            layout.dbu_nm = metres_per_dbu * 1e9
-        elif t == rec.STRNAME:
-            current = Cell(record.ascii())
-            cells[current.name] = current
-        elif t == rec.ENDSTR:
-            current = None
-        elif t in (rec.BOUNDARY, rec.SREF, rec.AREF):
-            element = _ElementState(kind=record.name)
-        elif element is not None and t == rec.LAYER:
-            element.layer = record.int2()[0]
-        elif element is not None and t == rec.DATATYPE:
-            element.datatype = record.int2()[0]
-        elif element is not None and t == rec.SNAME:
-            element.sname = record.ascii()
-        elif element is not None and t == rec.STRANS:
-            element.mirrored = bool(record.data[0] & 0x80)
-        elif element is not None and t == rec.ANGLE:
-            element.angle = record.real8()[0]
-        elif element is not None and t == rec.COLROW:
-            cols, rows = record.int2()
-            element.colrow = (cols, rows)
-        elif element is not None and t == rec.XY:
-            element.xy = record.int4()
-        elif t == rec.ENDEL:
-            if current is None or element is None:
-                raise GdsFormatError("element outside structure")
-            _finish_element(current, element, pending, layer_names)
-            element = None
-        elif t == rec.ENDLIB:
-            break
+    for event in el.decode(rec.raw_records(data)):
+        kind = event[0]
+        if kind == el.RECT or kind == el.POLYGON:
+            key = event[1]
+            layer = layers.get(key)
+            if layer is None:
+                layer = layers[key] = Layer(key[0], key[1], layer_names.get(key, ""))
+            # decode() rejects elements outside a structure
+            if kind == el.RECT:
+                current.add_rect(layer, Rect(*event[2:]))
+            else:
+                current.add_polygon(layer, event[2])
+        elif kind == el.REF:
+            pending.append((current.name, *event[1:]))
+        elif kind == el.STRUCTURE:
+            current = cells[event[1]] = Cell(event[1])
+        elif kind == el.LIBRARY:
+            layout = Layout(event[1])
+        else:  # UNITS, which decode() only yields after LIBRARY
+            layout.dbu_nm = event[1]
 
-    if layout is None:
-        raise GdsFormatError("missing LIBNAME")
+    # decode() raised on a missing LIBNAME
     for cell in cells.values():
         layout.add_cell(cell)
-    for p in pending:
-        if p.child not in cells:
-            raise GdsFormatError(f"reference to unknown cell {p.child!r}")
-        cells[p.parent].add_ref(cells[p.child], p.transform, p.columns, p.rows, p.dx, p.dy)
+    for parent, child, x, y, orient, cols, rows, dx, dy in pending:
+        if child not in cells:
+            raise GdsFormatError(f"reference to unknown cell {child!r}")
+        cells[parent].add_ref(cells[child], Transform(x, y, orient), cols, rows, dx, dy)
     return layout
-
-
-def _finish_element(
-    cell: Cell,
-    el: _ElementState,
-    pending: list[_PendingRef],
-    layer_names: dict[tuple[int, int], str],
-) -> None:
-    if el.kind == "BOUNDARY":
-        pts = [Point(el.xy[i], el.xy[i + 1]) for i in range(0, len(el.xy), 2)]
-        layer = Layer(el.layer, el.datatype, layer_names.get((el.layer, el.datatype), ""))
-        poly = Polygon(pts)
-        if poly.is_rect:
-            cell.add_rect(layer, poly.bbox)
-        else:
-            cell.add_polygon(layer, poly)
-        return
-
-    key = (el.mirrored, el.angle % 360.0)
-    if key not in _GDS_TO_ORIENT:
-        raise GdsFormatError(f"unsupported angle {el.angle} (Manhattan database)")
-    orient = _GDS_TO_ORIENT[key]
-    if el.kind == "SREF":
-        x, y = el.xy[0], el.xy[1]
-        pending.append(_PendingRef(cell.name, el.sname, Transform(x, y, orient)))
-        return
-
-    # AREF
-    cols, rows = el.colrow
-    x0, y0, xc, yc, xr, yr = el.xy[:6]
-    if yc != y0 or xr != x0:
-        raise GdsFormatError("only axis-parallel AREF steps are supported")
-    dx = (xc - x0) // cols if cols else 0
-    dy = (yr - y0) // rows if rows else 0
-    pending.append(_PendingRef(cell.name, el.sname, Transform(x0, y0, orient), cols, rows, dx, dy))

@@ -138,15 +138,20 @@ def rec_empty(rtype: int) -> bytes:
     return make_record(rtype, DT_NONE)
 
 
-def iter_records(data: bytes) -> Iterator[Record]:
-    """Parse a byte stream into records; stops at ENDLIB or end of data."""
+_HEADER = struct.Struct(">HBB")  # record length, record type, data type
+
+
+def raw_records(data: bytes) -> Iterator[tuple[int, int, bytes]]:
+    """``(record type, data type, payload)`` per record of a byte stream;
+    stops at ENDLIB or end of data."""
+    header = _HEADER.unpack_from
     pos = 0
     n = len(data)
     while pos + 4 <= n:
-        length, rtype, dtype = struct.unpack(">HBB", data[pos : pos + 4])
+        length, rtype, dtype = header(data, pos)
         if length < 4 or pos + length > n:
             raise GdsFormatError(f"bad record length {length} at offset {pos}")
-        yield Record(rtype, dtype, data[pos + 4 : pos + length])
+        yield rtype, dtype, data[pos + 4 : pos + length]
         pos += length
         if rtype == ENDLIB:
             return
@@ -154,15 +159,18 @@ def iter_records(data: bytes) -> Iterator[Record]:
         raise GdsFormatError("trailing bytes after last record")
 
 
-def iter_file_records(fh: BinaryIO, chunk_size: int = 1 << 16) -> Iterator[Record]:
-    """Parse records from a binary file handle without reading it whole.
+def raw_file_records(
+    fh: BinaryIO, chunk_size: int = 1 << 16
+) -> Iterator[tuple[int, int, bytes]]:
+    """:func:`raw_records` of a binary file handle, without reading it whole.
 
-    Same contract as :func:`iter_records` — stops at ENDLIB, raises on a
-    record extending past the end of the stream, rejects 1–3 trailing
-    bytes, and returns silently when the stream ends on a clean record
-    boundary — but holds only one buffered chunk (plus the record being
-    assembled) in memory, so multi-gigabyte streams never materialize.
+    Same contract — stops at ENDLIB, raises on a record extending past
+    the end of the stream, rejects 1–3 trailing bytes, and returns
+    silently when the stream ends on a clean record boundary — but
+    holds only one buffered chunk (plus the record being assembled) in
+    memory, so multi-gigabyte streams never materialize.
     """
+    header = _HEADER.unpack_from
     buf = b""
     pos = 0
     base = 0  # absolute file offset of buf[0]
@@ -175,7 +183,7 @@ def iter_file_records(fh: BinaryIO, chunk_size: int = 1 << 16) -> Iterator[Recor
                 if buf:
                     raise GdsFormatError("trailing bytes after last record")
                 return
-        length, rtype, dtype = struct.unpack(">HBB", buf[pos : pos + 4])
+        length, rtype, dtype = header(buf, pos)
         if length < 4:
             raise GdsFormatError(f"bad record length {length} at offset {base + pos}")
         while len(buf) - pos < length:
@@ -185,7 +193,13 @@ def iter_file_records(fh: BinaryIO, chunk_size: int = 1 << 16) -> Iterator[Recor
                     f"bad record length {length} at offset {base + pos}"
                 )
             buf += chunk
-        yield Record(rtype, dtype, buf[pos + 4 : pos + length])
+        yield rtype, dtype, buf[pos + 4 : pos + length]
         pos += length
         if rtype == ENDLIB:
             return
+
+
+def iter_records(data: bytes) -> Iterator[Record]:
+    """Parse a byte stream into records; stops at ENDLIB or end of data."""
+    for rtype, dtype, payload in raw_records(data):
+        yield Record(rtype, dtype, payload)

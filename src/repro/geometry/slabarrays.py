@@ -12,8 +12,11 @@ Every operation here reads and writes that form:
 * :func:`column_slabs` builds canonical slabs from rects spanning
   runs of elementary x-columns: it unions each column's intervals, then
   joins x-adjacent columns that hold identical interval lists
-  (:func:`join_columns`).  The layout store's ingest and the opening
-  build their output with it; the sweeps end in its join.
+  (:func:`join_columns`).  The opening builds its output with it; the
+  sweeps end in its join.  :func:`band_slabs` feeds it arbitrary rects
+  in groups of bounded size and :func:`seamed` joins the groups' seams:
+  :func:`from_rects`, the builder behind ``Cell.region``, and the
+  layout store's ingest, which runs it band by band.
 * :func:`pieces` is the sweep behind ``&`` and ``-``.  Both operands
   are cut at every x where either changes; each column's interval
   starts and ends, sorted by ``(column, y)``, carry running coverage
@@ -48,6 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import chain
 from operator import itemgetter
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,6 +67,8 @@ Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _NONE = np.empty(0, dtype=np.int64)
 EMPTY: Slabs = (_NONE, _NONE, _NONE, _NONE, _NONE)
+
+_PIECES_AT = 1 << 15  # (rect, column) pieces one column_slabs call expands
 
 _slab_x0 = itemgetter(0)
 _slab_x1 = itemgetter(1)
@@ -123,12 +129,13 @@ def to_region(slabs: Slabs) -> _region.Region:
     """The region of canonical slab arrays (no sweep: pure regrouping)."""
     xa, xb, n, y0, y1 = slabs
     intervals = list(zip(y0.tolist(), y1.tolist()))
-    out = []
-    pos = 0
-    for a, b, end in zip(xa.tolist(), xb.tolist(), n.cumsum().tolist()):
-        out.append((a, b, intervals[pos:end]))
-        pos = end
-    return _region.Region._from_slabs(out)
+    ends = n.cumsum()
+    return _region.Region._from_slabs(
+        [
+            (a, b, intervals[lo:hi])
+            for a, b, lo, hi in zip(xa.tolist(), xb.tolist(), (ends - n).tolist(), ends.tolist())
+        ]
+    )
 
 
 def from_raster(mask: np.ndarray, window: Rect, grid: int) -> Slabs:
@@ -260,6 +267,85 @@ def column_slabs(
     np.greater(key0[1:], reach[:-1], out=new[1:])
     first = new.nonzero()[0]
     return join_columns(cuts, col[first], y0[rect[first]], np.maximum.reduceat(y1[rect], first))
+
+
+def band_slabs(
+    x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+) -> Iterator[Slabs]:
+    """Canonical slabs of non-degenerate rects, ``_PIECES_AT`` pieces at a
+    time, in x order.
+
+    The rects are cut at every distinct x and :func:`column_slabs`
+    unions each column's pieces and joins x-adjacent columns with
+    identical interval lists.  Columns are taken in groups of about
+    ``_PIECES_AT`` pieces, so long rects crossing many columns cannot
+    blow the memory up.  Each batch is canonical on its own; a batch's
+    first slab may continue the previous batch's last, which
+    :func:`seamed` joins.
+    """
+    xs = np.sort(np.concatenate((x0, x1)))
+    cuts = xs[_changes(xs)]
+    c0 = np.searchsorted(cuts, x0)
+    c1 = np.searchsorted(cuts, x1)
+    covers = np.bincount(c0, minlength=len(cuts)) - np.bincount(c1, minlength=len(cuts))
+    pieces = np.cumsum(np.cumsum(covers))  # pieces in columns [0, c]
+    group = pieces // _PIECES_AT
+    bounds = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), len(cuts) - 1]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # a group starts at a column some rect covers, so none is empty
+        live = (c0 < hi) & (c1 > lo)
+        yield column_slabs(
+            cuts,
+            np.maximum(c0[live], lo),
+            np.minimum(c1[live], hi),
+            y0[live],
+            y1[live],
+        )
+
+
+def seamed(batches: Iterable[Slabs]) -> Iterator[Slabs]:
+    """x-ordered batches of canonical slabs, joined across their seams.
+
+    Each batch's last slab is held back and merged into the next
+    batch's first when the two are x-adjacent with identical interval
+    lists, so the batches concatenate to one canonical form.  Batches
+    must not be empty.
+    """
+    held: Slabs | None = None
+    for xa, xb, n, y0, y1 in batches:
+        if held is not None:
+            hxa, hxb, hn, hy0, hy1 = held
+            if (
+                hxb[0] == xa[0]
+                and np.array_equal(hy0, y0[: n[0]])
+                and np.array_equal(hy1, y1[: n[0]])
+            ):
+                xa[0] = hxa[0]  # the held slab extends into this batch
+            else:
+                xa, xb, n = (np.concatenate(v) for v in ((hxa, xa), (hxb, xb), (hn, n)))
+                y0, y1 = np.concatenate((hy0, y0)), np.concatenate((hy1, y1))
+        cut = len(y0) - int(n[-1])
+        held = (xa[-1:], xb[-1:], n[-1:], y0[cut:], y1[cut:])
+        if len(n) > 1:
+            yield xa[:-1], xb[:-1], n[:-1], y0[:cut], y1[:cut]
+    if held is not None:
+        yield held
+
+
+def from_rects(x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray) -> Slabs:
+    """Canonical slabs of rects ``[x0, x1] x [y0, y1]`` — the slabs
+    ``Region(rects)`` sweeps — built in bounded column groups
+    (:func:`band_slabs`, :func:`seamed`); degenerate rects are dropped."""
+    keep = (x0 < x1) & (y0 < y1)
+    if not keep.any():
+        return EMPTY
+    if not keep.all():
+        x0, y0, x1, y1 = x0[keep], y0[keep], x1[keep], y1[keep]
+    parts = list(seamed(band_slabs(x0, y0, x1, y1)))
+    if len(parts) == 1:
+        return parts[0]
+    xa, xb, n, ys0, ys1 = (np.concatenate(v) for v in zip(*parts))
+    return xa, xb, n, ys0, ys1
 
 
 def select(slabs: Slabs, keep: np.ndarray) -> Slabs:

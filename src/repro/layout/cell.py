@@ -1,11 +1,28 @@
-"""Cells and cell references."""
+"""Cells and cell references.
+
+A :class:`Cell` holds its own shapes per layer plus references to child
+cells.  :meth:`Cell.regions` (and :meth:`Cell.region`, one layer of it)
+flatten the hierarchy in NumPy: the cell tree becomes a table of local
+rect quads and grouped references, :func:`repro.geometry.hierarchy.walk`
+places every quad by broadcasting — the walk the streaming GDSII scan
+and the layout store's ingest use — and each layer's canonical slabs
+are built in bounded column groups by
+:func:`repro.geometry.slabarrays.from_rects`.  No rect is touched in
+Python and no heap sweep runs.  :meth:`Cell.rects` and
+:meth:`Cell.polygons` remain the per-shape Python walks.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.geometry import Polygon, Rect, Region, Transform
+from repro.geometry import slabarrays
+from repro.geometry.hierarchy import group_refs, walk
 from repro.layout.layer import Layer
 
 Shape = Rect | Polygon
@@ -118,21 +135,7 @@ class Cell:
 
     @property
     def bbox(self) -> Rect | None:
-        boxes: list[Rect] = []
-        for shapes in self._shapes.values():
-            for s in shapes:
-                boxes.append(s if isinstance(s, Rect) else s.bbox)
-        for ref in self._refs:
-            child = ref.cell.bbox
-            if child is not None:
-                for t in ref.placements():
-                    boxes.append(t.apply_rect(child))
-        if not boxes:
-            return None
-        out = boxes[0]
-        for b in boxes[1:]:
-            out = out.union_bbox(b)
-        return out
+        return _bbox(self, {})
 
     # -- flattening and region extraction -------------------------------------
     def polygons(self, layer: Layer, transform: Transform = Transform.IDENTITY) -> Iterator[Polygon]:
@@ -162,15 +165,25 @@ class Cell:
 
     def region(self, layer: Layer, window: Rect | None = None) -> Region:
         """Flattened canonical region of ``layer``, optionally clipped."""
-        rects = self.rects(layer)
-        if window is not None:
-            clipped = []
-            for r in rects:
-                inter = r.intersection(window)
-                if inter is not None:
-                    clipped.append(inter)
-            return Region(clipped)
-        return Region(list(rects))
+        return self.regions([layer], window)[layer]
+
+    def regions(
+        self, layers: Iterable[Layer], window: Rect | None = None
+    ) -> dict[Layer, Region]:
+        """Flattened canonical region of each of ``layers``, optionally
+        clipped to ``window``, from one walk of the hierarchy.
+
+        Equal to ``Region(self.rects(layer))`` (clipped rect by rect)
+        for every layer, built without a per-rect loop: see the module
+        docstring.
+        """
+        wanted = list(dict.fromkeys(layers))
+        table: dict[Cell, tuple[dict, dict]] = {}
+        parts: dict[Layer, list[np.ndarray]] = {layer: [] for layer in wanted}
+        if _tabulate(self, wanted, table, set()):
+            for layer, quads in walk(table, self):
+                parts[layer].append(quads)
+        return {layer: slabarrays.to_region(_slabs(parts[layer], window)) for layer in wanted}
 
     def flattened(self, name: str | None = None) -> "Cell":
         """A copy with the full hierarchy merged into direct shapes."""
@@ -197,3 +210,92 @@ class Cell:
             f"Cell({self.name!r}, {self.shape_count()} shapes, "
             f"{len(self._refs)} refs, {len(self.layers)} layers)"
         )
+
+
+def _bbox(cell: Cell, memo: dict[Cell, Rect | None]) -> Rect | None:
+    """``cell``'s bbox, each distinct child's computed once per call.
+
+    An array's lattice is axis-parallel, so its first and last
+    placements are its extremes along both axes: the union of those
+    two boxes is the union of all of them.
+    """
+    if cell in memo:
+        return memo[cell]
+    boxes = [s if isinstance(s, Rect) else s.bbox for s in chain(*cell._shapes.values())]
+    for ref in cell._refs:
+        child = _bbox(ref.cell, memo)
+        if child is not None:
+            t = ref.transform
+            last = Transform(
+                t.dx + (ref.columns - 1) * ref.dx,
+                t.dy + (ref.rows - 1) * ref.dy,
+                t.orientation,
+            )
+            boxes.append(t.apply_rect(child))
+            boxes.append(last.apply_rect(child))
+    box = None
+    if boxes:
+        box = Rect(
+            min(b.x0 for b in boxes),
+            min(b.y0 for b in boxes),
+            max(b.x1 for b in boxes),
+            max(b.y1 for b in boxes),
+        )
+    memo[cell] = box
+    return box
+
+
+def _tabulate(
+    cell: Cell, layers: list[Layer], table: dict[Cell, tuple[dict, dict]], empty: set[Cell]
+) -> bool:
+    """Enter ``cell`` and every child with geometry on ``layers`` into the
+    walk's table, and ``empty`` the cells without; whether ``cell`` has
+    any such geometry.
+
+    A cell's entry holds its own shapes on ``layers`` as local quads
+    (polygons decomposed as :meth:`Cell.rects` decomposes them) and its
+    references to children with geometry, grouped for the walk.
+    """
+    if cell in table or cell in empty:
+        return cell in table
+    quads = {}
+    for layer in layers:
+        shapes = cell._shapes.get(layer)
+        if shapes:
+            rects = chain.from_iterable(
+                (s,) if isinstance(s, Rect) else s.to_region().rects() for s in shapes
+            )
+            coords = np.fromiter(
+                chain.from_iterable((r.x0, r.y0, r.x1, r.y1) for r in rects), np.int64
+            )
+            quads[layer] = coords.reshape(-1, 4)
+    refs = [
+        (ref.cell, ref.transform.dx, ref.transform.dy, ref.transform.orientation,
+         ref.columns, ref.rows, ref.dx, ref.dy)
+        for ref in cell._refs
+        if _tabulate(ref.cell, layers, table, empty)
+    ]
+    if not quads and not refs:
+        empty.add(cell)
+        return False
+    table[cell] = (quads, group_refs(refs))
+    return True
+
+
+def _slabs(chunks: list[np.ndarray], window: Rect | None) -> slabarrays.Slabs:
+    """The canonical slabs of flattened quad chunks, clipped to ``window``.
+
+    The chunks are released once joined, and the joined quads on return,
+    so neither is alive while the caller builds the region's lists.
+    """
+    if not chunks:
+        return slabarrays.EMPTY
+    quads = np.concatenate(chunks)
+    chunks.clear()
+    x0, y0, x1, y1 = quads.T
+    if window is not None:
+        x0 = np.maximum(x0, window.x0)
+        y0 = np.maximum(y0, window.y0)
+        x1 = np.minimum(x1, window.x1)
+        y1 = np.minimum(y1, window.y1)
+    return slabarrays.from_rects(x0, y0, x1, y1)

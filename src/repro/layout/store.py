@@ -2,10 +2,11 @@
 
 ``ingest`` streams a GDSII file record-by-record (never materializing a
 :class:`~repro.layout.Layout`), flattens the hierarchy in bounded NumPy
-chunks (:mod:`repro.gdsii.stream` broadcasts each cell's quads over
-whole arrays of placements), and external-sorts each layer's rects into
-the *same canonical form* :class:`~repro.geometry.Region` holds in RAM:
-slab-ordered disjoint rect quads.  The quads land in an mmap-able int32
+chunks (:func:`repro.geometry.hierarchy.walk`, the walk ``Cell.region``
+shares, broadcasts each cell's quads over whole arrays of placements),
+and external-sorts each layer's rects into the *same canonical form*
+:class:`~repro.geometry.Region` holds in RAM: slab-ordered disjoint rect
+quads.  The quads land in an mmap-able int32
 file::
 
     magic (16 bytes, b"layoutstore-v1\\n\\x00")
@@ -19,13 +20,14 @@ The canonical sweep runs in bounded x bands, never per rect.  Each
 layer's quads are spilled as x0-sorted int64 runs, and the runs are
 merged a block at a time; a band ends at the smallest last-loaded x0
 among runs with unread data, so every rect starting left of that edge
-is loaded.  Within a band the rects are cut at every distinct x and
-merged column by column, and x-adjacent columns with identical
-interval lists are joined; rects reaching past the band's edge carry
-over into the next band, and a band's first slab joins the previous
-band's last when the two match.  Cutting x more finely and joining
-identical neighbours *is* the canonical form, so band edges cannot
-change a byte of the output.
+is loaded.  Within a band the bounded column builder of
+:mod:`repro.geometry.slabarrays` (the one ``Cell.region`` builds its
+slabs with) cuts the rects at every distinct x, merges them column by
+column and joins x-adjacent columns with identical interval lists;
+rects reaching past the band's edge carry over into the next band, and
+a band's first slab joins the previous band's last when the two match.
+Cutting x more finely and joining identical neighbours *is* the
+canonical form, so band edges cannot change a byte of the output.
 
 Because the quads are exactly ``Region.rects()`` order, every consumer
 of the canonical contract plugs straight in: ``Region.from_canonical_
@@ -65,7 +67,7 @@ import numpy as np
 
 from repro.gdsii.stream import _flat_chunks, scan_gds
 from repro.geometry import Rect, Region
-from repro.geometry.slabarrays import Slabs, column_slabs
+from repro.geometry.slabarrays import Slabs, band_slabs, seamed
 from repro.obs import get_registry, names
 
 log = logging.getLogger("repro.layout.store")
@@ -79,7 +81,6 @@ _RUN_LEN = 2048  # rects per y-extent directory run
 _SPILL_AT = 65536  # buffered quads per layer before an external-sort spill
 _MERGE_BLOCK = 8192  # quads read from one spilled run at a time
 _FAN_IN = 16  # spilled runs merged at once
-_PIECES_AT = 1 << 15  # (rect, column) pieces a band sweep expands at once
 _I32_MIN = -(1 << 31)
 _I32_MAX = (1 << 31) - 1
 
@@ -194,17 +195,25 @@ def _canonical_slabs(fh, runs: list[tuple[int, int]]) -> Iterator[Slabs]:
     """``Region(quads)._slabs`` of the runs' quads, in bounded batches.
 
     Each band's quads plus the quads carried over from the band before
-    are swept over the band's x-range; quads reaching past its right
-    edge X are carried into the next band with x0 set to X.  Cutting x
-    more finely than the canonical form does and then merging identical
-    neighbours gives the same slabs, so the bands cannot change the
-    output: the last slab of each batch is held back and merged into the
-    next batch's first slab when the two match.
+    are swept over the band's x-range by the bounded column builder
+    (:func:`repro.geometry.slabarrays.band_slabs`); quads reaching past
+    its right edge X are carried into the next band with x0 set to X.
+    Cutting x more finely than the canonical form does and then merging
+    identical neighbours gives the same slabs, so the bands cannot
+    change the output: :func:`~repro.geometry.slabarrays.seamed` joins
+    each batch's last slab to the next batch's first when the two match.
     """
     if not runs:
         return  # every quad was degenerate
+    try:
+        yield from seamed(_band_batches(fh, runs))
+    except OverflowError as exc:
+        raise LayoutStoreError(f"coordinate out of int32 range: {exc}") from exc
+
+
+def _band_batches(fh, runs: list[tuple[int, int]]) -> Iterator[Slabs]:
+    """Each x band's canonical slab batches, bands in x order."""
     carry = np.empty((0, _QUAD), dtype=np.int64)
-    held: Slabs | None = None
     for quads, x_end in _x_bands(fh, _fan_in(fh, runs)):
         if x_end is not None and not len(quads):
             continue  # nothing new left of X: the carried quads wait
@@ -214,61 +223,7 @@ def _canonical_slabs(fh, runs: list[tuple[int, int]]) -> Iterator[Slabs]:
             carry = band[x1 > x_end]
             carry[:, 0] = x_end
             x1 = np.minimum(x1, x_end)
-        for batch in _band_slabs(band[:, 0], band[:, 1], x1, band[:, 3]):
-            xa, xb, n, y0, y1 = batch
-            if held is not None:
-                hxa, hxb, hn, hy0, hy1 = held
-                if (
-                    hxb[0] == xa[0]
-                    and np.array_equal(hy0, y0[: n[0]])
-                    and np.array_equal(hy1, y1[: n[0]])
-                ):
-                    xa[0] = hxa[0]  # the held slab extends into this batch
-                else:
-                    xa, xb, n = (np.concatenate(v) for v in ((hxa, xa), (hxb, xb), (hn, n)))
-                    y0, y1 = np.concatenate((hy0, y0)), np.concatenate((hy1, y1))
-            cut = len(y0) - int(n[-1])
-            held = (xa[-1:], xb[-1:], n[-1:], y0[cut:], y1[cut:])
-            if len(n) > 1:
-                yield xa[:-1], xb[:-1], n[:-1], y0[:cut], y1[:cut]
-    if held is not None:
-        yield held
-
-
-def _band_slabs(
-    x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
-) -> Iterator[Slabs]:
-    """Canonical slabs of one band's rects, ``_PIECES_AT`` pieces at a time.
-
-    The band is cut at every distinct x, and the canonical column
-    builder, :func:`repro.geometry.slabarrays.column_slabs`, unions
-    each column's pieces and joins x-adjacent columns with identical
-    interval lists.  Columns are taken in groups of about ``_PIECES_AT``
-    pieces, so long rects crossing many columns cannot blow the band's
-    memory up.
-    """
-    xs = np.sort(np.concatenate((x0, x1)))
-    cuts = xs[np.r_[True, xs[1:] != xs[:-1]]]
-    c0 = np.searchsorted(cuts, x0)
-    c1 = np.searchsorted(cuts, x1)
-    covers = np.bincount(c0, minlength=len(cuts)) - np.bincount(c1, minlength=len(cuts))
-    pieces = np.cumsum(np.cumsum(covers))  # pieces in columns [0, c]
-    group = pieces // _PIECES_AT
-    edges = np.flatnonzero(group[1:] != group[:-1]) + 1
-    for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(cuts) - 1]):
-        # a group starts at a column some rect covers, so none is empty
-        live = (c0 < hi) & (c1 > lo)
-        try:
-            slabs = column_slabs(
-                cuts,
-                np.maximum(c0[live], lo),
-                np.minimum(c1[live], hi),
-                y0[live],
-                y1[live],
-            )
-        except OverflowError as exc:
-            raise LayoutStoreError(f"coordinate out of int32 range: {exc}") from exc
-        yield slabs
+        yield from band_slabs(band[:, 0], band[:, 1], x1, band[:, 3])
 
 
 class _LayerWriter:

@@ -96,10 +96,10 @@ class _ScanGeometry:
 
     Shipped to workers instead of the whole-chip :class:`Region`: only
     the flat rect list travels over the wire (the grid buckets are
-    rebuilt on first use in each process), and every per-tile operation
-    — window clipping, cache-key digesting — queries the index so it
-    touches only the geometry near the tile instead of sweeping the
-    full chip.
+    rebuilt on first use in each process), and each tile's simulation
+    queries the index so it touches only the geometry near the tile.
+    The in-process geometry also keeps the region it was made from
+    (never pickled) for the tile-key clips.
 
     The rect source is one of three shapes: the flat list itself; a
     :class:`~repro.parallel.ShmRects` handle (after :meth:`shared`
@@ -113,13 +113,15 @@ class _ScanGeometry:
     contract, so indexes, clips, and digests are identical throughout.
     """
 
-    __slots__ = ("_source", "cell_nm", "_index", "_buf")
+    __slots__ = ("_source", "cell_nm", "_index", "_buf", "_region")
 
     def __init__(self, region: "Region | StoreLayer", cell_nm: int = 2048):
+        self._region: Region | None = None
         if isinstance(region, StoreLayer):
             self._source: list[Rect] | ShmRects | StoreRects = region.handle()
         else:
             self._source = list(region.rects())
+            self._region = region
         self.cell_nm = cell_nm
         self._index: GridIndex[Rect] | None = None
         self._buf: list[Rect] = []
@@ -142,6 +144,7 @@ class _ScanGeometry:
         clone.cell_nm = self.cell_nm
         clone._index = None
         clone._buf = []
+        clone._region = self._region
         return clone
 
     def __getstate__(self):
@@ -151,6 +154,7 @@ class _ScanGeometry:
         self._source, self.cell_nm = state
         self._index = None
         self._buf = []
+        self._region = None
 
     def near(self, window: Rect) -> list[Rect]:
         """Canonical rects whose bbox touches ``window`` (a shared
@@ -171,24 +175,26 @@ class _ScanGeometry:
         return self._index.query_into(window, self._buf)
 
     def clipped(self, window: Rect) -> Region:
-        """``region & Region(window)`` computed from local rects only.
+        """``region & Region(window)``, the clip a tile key digests.
 
-        Exact: canonical rects are disjoint, and rects not touching the
-        window contribute nothing to the intersection, so the local
-        point set (hence the canonical form and digest) is identical to
-        the full-chip sweep's.
+        In RAM that is the clip itself: ``&`` bisects the region's slabs
+        down to the window's x-extent, which costs less than an index
+        query plus a regrouping.  A geometry rebuilt from its rects (in
+        another process) regroups them into the region once.
 
-        The local rects are fragments of the source region's canonical
-        slabs — rects sharing an x-range belong to one slab, distinct
-        x-ranges never partially overlap — so sorting restores canonical
-        iteration order and the slab list is rebuilt by grouping instead
-        of a from-scratch plane sweep; only the window intersection pays
-        for a sweep.
+        A store-backed geometry never materializes the layer: the
+        store's window query returns the rects touching the window in
+        canonical order, so they regroup into a region straight away.
+        Exact, since canonical rects are disjoint and those not touching
+        the window contribute nothing to the clip: the point set, hence
+        the canonical form and digest, is the whole-chip clip's.
         """
-        local = Region.from_canonical_rects(
-            sorted(self.near(window), key=lambda r: (r.x0, r.y0))
-        )
-        return local & Region(window)
+        source = self._source
+        if isinstance(source, StoreRects):
+            return Region.from_canonical_rects(source.window(window)) & Region(window)
+        if self._region is None:
+            self._region = Region.from_canonical_rects(self.rects)
+        return self._region & Region(window)
 
 
 @dataclass(frozen=True, slots=True)

@@ -92,7 +92,7 @@ class PatternMatcher:
         self, cell: Cell, layers: list[Layer], anchors: list[Point]
     ) -> list[PatternMatch]:
         """Scan a cell: extract a snippet per anchor and match each."""
-        regions = {layer: cell.region(layer) for layer in layers}
+        regions = cell.regions(layers)
         matches: list[PatternMatch] = []
         for anchor in anchors:
             snippet = extract_snippet(regions, anchor, self.radius)

@@ -69,7 +69,7 @@ def extract_snippets(
     cell: Cell, layers: list[Layer], anchors: list[Point], radius: int
 ) -> list[Snippet]:
     """Extract one snippet per anchor from a cell (flattening once)."""
-    regions = {layer: cell.region(layer) for layer in layers}
+    regions = cell.regions(layers)
     return [extract_snippet(regions, a, radius) for a in anchors]
 
 

@@ -64,9 +64,9 @@ def insert_redundant_vias(
     space = int(1.2 * v)
     enc = tech.via_enclosure
 
-    vias = list(cell.region(via_layer).rects())
-    lower = cell.region(lower_layer)
-    upper = cell.region(upper_layer)
+    flat = cell.regions([via_layer, lower_layer, upper_layer])
+    vias = list(flat[via_layer].rects())
+    lower, upper = flat[lower_layer], flat[upper_layer]
     occupied = Region(vias)
 
     report = RedundantViaReport()

@@ -1,5 +1,7 @@
 """Unit tests for GDSII records and stream I/O plus JSON interchange."""
 
+import re
+
 import pytest
 
 from repro.gdsii import read_gds, read_json, write_gds, write_json
@@ -163,3 +165,194 @@ class TestJson:
         lib2 = read_json(path)
         layers = lib2.cell("CHILD").layers
         assert any(l.name == "M1" for l in layers)
+
+
+# -- the shared element decoder: both parsers, one verdict -------------------
+
+
+def _library(top_elements: list[bytes]) -> bytes:
+    """A library of LEAF (one rect) and TOP holding ``top_elements``."""
+    from repro.gdsii import records as rec
+
+    def structure(name: str, elements: list[bytes]) -> list[bytes]:
+        return [
+            rec.rec_int2(rec.BGNSTR, [1970, 1, 1, 0, 0, 0] * 2),
+            rec.rec_ascii(rec.STRNAME, name),
+            *elements,
+            rec.rec_empty(rec.ENDSTR),
+        ]
+
+    leaf = _boundary([0, 0, 10, 0, 10, 5, 0, 5, 0, 0])
+    return b"".join(
+        [
+            rec.rec_int2(rec.HEADER, [600]),
+            rec.rec_int2(rec.BGNLIB, [1970, 1, 1, 0, 0, 0] * 2),
+            rec.rec_ascii(rec.LIBNAME, "LIB"),
+            rec.rec_real8(rec.UNITS, [1e-3, 1e-9]),
+            *structure("LEAF", [leaf]),
+            *structure("TOP", top_elements),
+            rec.rec_empty(rec.ENDLIB),
+        ]
+    )
+
+
+def _boundary(xy: list[int]) -> bytes:
+    from repro.gdsii import records as rec
+
+    return b"".join(
+        [
+            rec.rec_empty(rec.BOUNDARY),
+            rec.rec_int2(rec.LAYER, [10]),
+            rec.rec_int2(rec.DATATYPE, [0]),
+            rec.rec_int4(rec.XY, xy),
+            rec.rec_empty(rec.ENDEL),
+        ]
+    )
+
+
+def _aref(colrow: list[int], xy: list[int] | None) -> bytes:
+    from repro.gdsii import records as rec
+
+    chunks = [
+        rec.rec_empty(rec.AREF),
+        rec.rec_ascii(rec.SNAME, "LEAF"),
+        rec.rec_int2(rec.COLROW, colrow),
+    ]
+    if xy is not None:
+        chunks.append(rec.rec_int4(rec.XY, xy))
+    chunks.append(rec.rec_empty(rec.ENDEL))
+    return b"".join(chunks)
+
+
+def _sref(xy: list[int] | None) -> bytes:
+    from repro.gdsii import records as rec
+
+    chunks = [rec.rec_empty(rec.SREF), rec.rec_ascii(rec.SNAME, "LEAF")]
+    if xy is not None:
+        chunks.append(rec.rec_int4(rec.XY, xy))
+    chunks.append(rec.rec_empty(rec.ENDEL))
+    return b"".join(chunks)
+
+
+def _parsers():
+    from repro.gdsii import scan_gds
+
+    return pytest.mark.parametrize("parse", [read_gds, scan_gds], ids=["read_gds", "scan_gds"])
+
+
+class TestMalformedReferences:
+    """Each malformed reference is a ``GdsFormatError`` from both parsers,
+    never a truncated lattice, a dropped array or a bare Python error."""
+
+    @_parsers()
+    def test_aref_span_not_a_multiple_of_colrow(self, tmp_path, parse):
+        # 100 nm over 3 columns used to place the leaf at x = 0, 33, 66
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_aref([3, 1], [0, 0, 100, 0, 0, 10])]))
+        with pytest.raises(GdsFormatError, match="whole multiple"):
+            parse(path)
+
+    @_parsers()
+    @pytest.mark.parametrize("colrow", [[0, 1], [2, 0], [-2, 1]])
+    def test_aref_without_elements(self, tmp_path, parse, colrow):
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_aref(colrow, [0, 0, 100, 0, 0, 10])]))
+        with pytest.raises(GdsFormatError, match="elements"):
+            parse(path)
+
+    @_parsers()
+    def test_sref_without_xy(self, tmp_path, parse):
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_sref(None)]))
+        with pytest.raises(GdsFormatError, match="one XY point"):
+            parse(path)
+
+    @_parsers()
+    def test_aref_with_two_points(self, tmp_path, parse):
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_aref([2, 1], [0, 0, 100, 0])]))
+        with pytest.raises(GdsFormatError, match="three XY points"):
+            parse(path)
+
+    @_parsers()
+    def test_aref_repeating_with_a_zero_step(self, tmp_path, parse):
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_aref([2, 1], [0, 0, 0, 0, 0, 10])]))
+        with pytest.raises(GdsFormatError, match="zero step"):
+            parse(path)
+
+    def test_well_formed_aref_still_parses(self, tmp_path):
+        from repro.gdsii import scan_gds
+
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_aref([3, 2], [5, 7, 95, 7, 5, 47])]))
+        ref = read_gds(path).cell("TOP").references[0]
+        assert (ref.columns, ref.rows, ref.dx, ref.dy) == (3, 2, 30, 20)
+        assert (ref.transform.dx, ref.transform.dy) == (5, 7)
+        assert scan_gds(path).cells["TOP"].refs == [
+            ("LEAF", 5, 7, Orientation.R0, 3, 2, 30, 20)
+        ]
+
+
+# (name, XY) of BOUNDARY rings the rect fast path must take, or must
+# leave to Polygon, whose shape or error both parsers keep
+_RINGS = [
+    ("ccw", [0, 0, 100, 0, 100, 50, 0, 50, 0, 0]),
+    ("clockwise", [0, 0, 0, 50, 100, 50, 100, 0, 0, 0]),
+    ("clockwise-from-top-right", [100, 50, 100, 0, 0, 0, 0, 50, 100, 50]),
+    ("unclosed-four-points", [0, 0, 100, 0, 100, 50, 0, 50]),
+    ("unclosed-five-points", [0, 0, 50, 0, 100, 0, 100, 50, 0, 50]),
+    ("collinear-vertex", [0, 0, 50, 0, 100, 0, 100, 50, 0, 50, 0, 0]),
+    ("l-shape", [0, 0, 100, 0, 100, 20, 30, 20, 30, 50, 0, 50, 0, 0]),
+    ("zero-height", [0, 0, 100, 0, 100, 0, 0, 0, 0, 0]),
+    ("zero-width", [0, 0, 0, 0, 0, 50, 0, 50, 0, 0]),
+    ("diagonal", [0, 0, 100, 0, 100, 50, 0, 60, 0, 0]),
+    ("bow-tie", [0, 0, 100, 0, 0, 50, 100, 50, 0, 0]),
+    ("three-points", [0, 0, 100, 0, 100, 50]),
+]
+
+
+class TestRectFastPath:
+    """A closed axis-parallel five-point ring becomes a rect without a
+    Polygon; every other ring keeps the Polygon path's shape or error."""
+
+    @staticmethod
+    def _polygon_path(xy):
+        """What the Polygon path makes of ``xy``: a shape or an exception."""
+        try:
+            poly = Polygon([Point(xy[i], xy[i + 1]) for i in range(0, len(xy), 2)])
+        except ValueError as exc:
+            return exc
+        return poly.bbox if poly.is_rect else poly
+
+    @pytest.mark.parametrize("xy", [xy for _, xy in _RINGS], ids=[n for n, _ in _RINGS])
+    def test_read_gds(self, tmp_path, xy):
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_boundary(xy)]))
+        expect = self._polygon_path(xy)
+        if isinstance(expect, Exception):
+            with pytest.raises(type(expect), match=f"^{re.escape(str(expect))}$"):
+                read_gds(path)
+            return
+        assert read_gds(path).cell("TOP").shapes(M1) == [expect]
+
+    @pytest.mark.parametrize("xy", [xy for _, xy in _RINGS], ids=[n for n, _ in _RINGS])
+    def test_scan_gds(self, tmp_path, xy):
+        from repro.gdsii import scan_gds
+
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_boundary(xy)]))
+        expect = self._polygon_path(xy)
+        if isinstance(expect, Exception):
+            with pytest.raises(type(expect), match=f"^{re.escape(str(expect))}$"):
+                scan_gds(path)
+            return
+        rects = [expect] if isinstance(expect, Rect) else list(expect.to_region().rects())
+        quads = scan_gds(path).cells["TOP"].quads[(10, 0)].tolist()
+        assert quads == [v for r in rects for v in r.as_tuple()]
+
+    def test_rings_cover_both_paths(self):
+        shapes = [self._polygon_path(xy) for _, xy in _RINGS]
+        assert any(isinstance(s, Rect) for s in shapes)
+        assert any(isinstance(s, Polygon) for s in shapes)
+        assert any(isinstance(s, Exception) for s in shapes)

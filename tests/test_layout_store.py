@@ -21,9 +21,10 @@ from hypothesis import given, settings, strategies as st
 from repro.designgen import LogicBlockSpec, generate_logic_block
 from repro.gdsii import read_gds, scan_gds, write_gds
 from repro.gdsii import records as rec
-from repro.gdsii import stream as stream_mod
 from repro.gdsii.records import GdsFormatError
 from repro.geometry import Orientation, Point, Polygon, Rect, Region, Transform
+from repro.geometry import hierarchy as hierarchy_mod
+from repro.geometry import slabarrays
 from repro.layout import Layer, Layout
 from repro.layout import store as store_mod
 from repro.layout.store import (
@@ -38,6 +39,7 @@ from repro.litho import LithoModel, scan_full_chip
 from repro.obs import MetricsRegistry, names, sample_peak_rss, set_registry
 from repro.parallel import TileCache
 from repro.parallel import shm as shm_mod
+from tests import layout_reference
 
 
 @pytest.fixture
@@ -305,11 +307,11 @@ def _hierarchies(draw):
 
 
 class TestIngestSweep:
-    """The NumPy ingest against ``Region``'s heap sweep, with flatten
-    chunks, spill runs, merge blocks and fan-in, piece groups and
-    directory runs cut to single digits so every layer spills several
-    runs, merges them in more than one pass and crosses many band
-    seams."""
+    """The NumPy ingest against ``Region``'s heap sweep over the per-rect
+    Python walk (``tests/layout_reference.py``), with flatten chunks,
+    spill runs, merge blocks and fan-in, piece groups and directory runs
+    cut to single digits so every layer spills several runs, merges them
+    in more than one pass and crosses many band seams."""
 
     @given(
         lib=_hierarchies(),
@@ -322,18 +324,19 @@ class TestIngestSweep:
         d = tmp_path_factory.mktemp("sweep")
         gds = str(d / "f.gds")
         write_gds(lib, gds)
-        with mock.patch.object(stream_mod, "_CHUNK", chunk), mock.patch.multiple(
+        with mock.patch.object(hierarchy_mod, "_CHUNK", chunk), mock.patch.object(
+            slabarrays, "_PIECES_AT", pieces_at
+        ), mock.patch.multiple(
             store_mod,
             _SPILL_AT=spill_at,
             _MERGE_BLOCK=merge_block,
             _FAN_IN=fan_in,
-            _PIECES_AT=pieces_at,
             _RUN_LEN=run_len,
         ):
             view = ingest(gds, str(d / "f.lstore"))
         top = read_gds(gds).cell("TOP")
         for layer in _FUZZ_LAYERS:
-            ram = top.region(layer)
+            ram = layout_reference.region(top, layer)
             stored = view.layer_for(layer)
             rects = list(ram.rects())
             assert stored.rects() == rects
