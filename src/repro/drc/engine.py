@@ -116,12 +116,10 @@ def run_drc(
     fault_plan: FaultPlan | None = None,
     checkpoint_file: str | None = None,
     resume: bool = False,
-    region_source: Callable[[Layer, Rect | None], Region] | None = None,
     executor: TileExecutor | None = None,
-    sharer: "Callable[[_DrcPayload], SharedPayload | None] | None" = None,
     store: StoreView | None = None,
 ) -> DrcReport:
-    """Flatten ``cell`` per layer and run every rule in ``deck``.
+    """Flatten ``cell`` and run every rule in ``deck``.
 
     ``window`` restricts checking (and flattening) to a clip region, the
     standard way to DRC a block out of a larger chip.  ``jobs``,
@@ -135,13 +133,11 @@ def run_drc(
     ``timeout`` bounds each chunk's wall time, and ``checkpoint_file``
     (+ ``resume``) lets an interrupted run restart where it left off.
 
-    The residency hooks mirror :func:`repro.litho.fullchip.scan_full_chip`:
-    ``region_source(layer, window)`` replaces the per-call flatten with
-    a caller-owned (typically session-cached) region lookup,
-    ``executor`` reuses a caller-owned — typically persistent —
-    :class:`TileExecutor`, and ``sharer`` serves a pre-packed shared-
-    memory payload instead of packing a fresh arena per run.  All three
-    leave results and cache keys byte-identical.
+    Every layer the deck reads is flattened in one
+    :meth:`Cell.regions <repro.layout.Cell.regions>` walk.  As in
+    :func:`repro.litho.fullchip.scan_full_chip`, ``executor`` reuses a
+    caller-owned — typically persistent — :class:`TileExecutor`, with
+    results and cache keys byte-identical either way.
 
     ``store`` runs the deck against an out-of-core layout store instead
     of flattening ``cell`` (which may then be ``None``): tile tasks
@@ -152,8 +148,6 @@ def run_drc(
     """
     if cell is None and store is None:
         raise ValueError("run_drc needs a cell or a store")
-    if store is not None and region_source is not None:
-        raise ValueError("store and region_source are mutually exclusive")
     layers_needed: set[Layer] = set()
     for rule in deck:
         layers_needed.update(_rule_layers(rule))
@@ -172,10 +166,7 @@ def run_drc(
                 }
     else:
         with span("drc.flatten"):
-            if region_source is None:
-                regions = cell.regions(layers_needed, window)
-            else:
-                regions = {layer: region_source(layer, window) for layer in layers_needed}
+            regions = cell.regions(layers_needed, window)
     if window is not None:
         extent = window
     else:
@@ -210,7 +201,6 @@ def run_drc(
                 checkpoint_file=checkpoint_file,
                 resume=resume,
                 executor=executor,
-                sharer=sharer,
             )
     report.cell_name = cell.name if cell is not None else store.cell_name
     registry = get_registry()
@@ -386,12 +376,12 @@ class _DrcPayload:
     """Read-only per-run state shipped to each worker once.
 
     ``regions`` is one of: the plain per-layer dict; a
-    :class:`_SharedLayerRegions` store (pooled runs, via
-    :func:`_share_drc_payload`) whose geometry travels through shared
-    memory instead of the pickle wire; or a :class:`_StoreLayerRegions`
-    mapping (store-backed runs) that serves windowed clips straight
-    from the mmapped layout store.  All expose the same ``get`` access
-    the tasks use.
+    :class:`_SharedLayerRegions` mapping (pooled in-RAM runs, packed
+    per run by :func:`_share_drc_payload`) whose geometry travels
+    through shared memory instead of the pickle wire; or a
+    :class:`_StoreLayerRegions` mapping (store-backed runs) that serves
+    windowed clips straight from the mmapped layout store.  All expose
+    the same ``get`` access the tasks use.
     """
 
     regions: "dict[Layer, Region] | _SharedLayerRegions | _StoreLayerRegions"
@@ -495,7 +485,6 @@ def run_drc_tiled(
     checkpoint_file: str | None = None,
     resume: bool = False,
     executor: TileExecutor | None = None,
-    sharer: "Callable[[_DrcPayload], SharedPayload | None] | None" = None,
 ) -> DrcReport:
     """Tiled parallel/incremental deck run over per-layer regions.
 
@@ -509,6 +498,11 @@ def run_drc_tiled(
     <repro.parallel.TileExecutor.run>`): exhausted tasks land on
     ``report.quarantined`` instead of raising, and ``checkpoint_file``
     (+ ``resume``) persists completed tasks for interrupted runs.
+
+    A pooled run over in-RAM regions packs them into a shared-memory
+    arena of its own (:func:`_share_drc_payload`), which the executor
+    unlinks when the run ends; store-backed regions already pickle as
+    file handles and pack nothing.
     """
     t_start = time.perf_counter()
     local = tuple(r for r in deck if isinstance(r, _LOCAL_KINDS))
@@ -568,7 +562,7 @@ def run_drc_tiled(
             and not isinstance(regions, _StoreLayerRegions)
             and (tile_executor.jobs > 1 or timeout is not None)
         ):
-            shared = (sharer or _share_drc_payload)(payload)
+            shared = _share_drc_payload(payload)
             if shared is not None:
                 exec_payload = shared
         outcome = tile_executor.run(

@@ -4,7 +4,8 @@ Implemented from the Calma GDSII Stream Format specification: each record
 is ``[uint16 length][uint8 record-type][uint8 data-type]`` followed by the
 payload, with 8-byte reals in excess-64 base-16 floating point.  Only the
 records a layout database needs are supported (BOUNDARY, SREF, AREF and
-library/structure framing); texts, paths and node records are out of scope.
+library/structure framing); TEXT labels are skipped, and PATH, BOX and
+NODE elements are rejected by name.
 """
 
 from repro.gdsii.io import read_gds, write_gds

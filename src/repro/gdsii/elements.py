@@ -16,6 +16,10 @@ library events:
 * ``(REF, child, x, y, orientation, columns, rows, step_x, step_y)``
   for an SREF (one column, one row, zero steps) or an AREF.
 
+A TEXT element is a label with no geometry: it yields no event, and
+its own MAG and STRANS are never checked.  PATH, BOX and NODE elements
+raise :class:`~repro.gdsii.records.GdsFormatError` naming the element.
+
 A BOUNDARY whose XY is a closed, axis-parallel five-point ring becomes
 a rect straight from its integers.  Any other XY goes through
 :class:`~repro.geometry.Polygon`, which collapses collinear vertices,
@@ -23,17 +27,21 @@ validates the ring and raises on a malformed one; a polygon with four
 vertices left is a rect too.
 
 References are checked here for both parsers: Manhattan angles only,
-an SREF with exactly one XY point, an AREF with three, at least one
-column and one row, axis-parallel steps, a displacement that is a whole
-multiple of the column and row counts, and a non-zero step along every
-repeated axis.  Each violation raises
-:class:`~repro.gdsii.records.GdsFormatError`.
+no magnification (a MAG other than 1, or the STRANS absolute-
+magnification or absolute-angle bit), an SREF with exactly one XY
+point, an AREF with three, at least one column and one row,
+axis-parallel steps, a displacement that is a whole multiple of the
+column and row counts, and a non-zero step along every repeated axis.
+Each violation raises :class:`~repro.gdsii.records.GdsFormatError`,
+naming the field.  :func:`check_references` then checks, for both
+parsers, that every reference names a cell of the library and that no
+reference cycle exists.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.gdsii import records as rec
 from repro.gdsii.records import GdsFormatError, decode_real8
@@ -52,6 +60,14 @@ _ORIENT_TO_GDS: dict[Orientation, tuple[bool, float]] = {
     Orientation.MX270: (True, 270.0),
 }
 _GDS_TO_ORIENT = {v: k for k, v in _ORIENT_TO_GDS.items()}
+
+# STRANS flags, as bits of its big-endian 16-bit word
+_REFLECTION = 0x8000
+_ABS_MAG = 0x0004
+_ABS_ANGLE = 0x0002
+
+# element records this Manhattan database has no model for
+_UNSUPPORTED = {rec.PATH: "PATH", rec.BOX: "BOX", rec.NODE: "NODE"}
 
 # decode() event kinds
 LIBRARY = "library"
@@ -79,11 +95,13 @@ def _ascii(payload: bytes) -> str:
 
 def decode(records: Iterable[tuple[int, int, bytes]]) -> Iterator[tuple]:
     """The library events of a record stream (see the module docstring)."""
-    library = in_structure = False
-    kind: int | None = None  # BOUNDARY, SREF or AREF while an element is open
+    library = False
+    structure: str | None = None  # the open structure's name
+    kind: int | None = None  # BOUNDARY, SREF, AREF or TEXT while an element is open
     layer = datatype = 0
     sname = ""
-    mirrored = False
+    strans = 0
+    mag = 1.0
     angle = 0.0
     colrow = (1, 1)
     xy = b""
@@ -102,7 +120,10 @@ def decode(records: Iterable[tuple[int, int, bytes]]) -> Iterator[tuple]:
                 sname = _ascii(payload)
                 continue
             if rtype == rec.STRANS:
-                mirrored = bool(payload[0] & 0x80)
+                strans = int.from_bytes(payload[:2], "big")
+                continue
+            if rtype == rec.MAG:
+                mag = decode_real8(payload[:8])
                 continue
             if rtype == rec.ANGLE:
                 angle = decode_real8(payload[:8])
@@ -112,26 +133,32 @@ def decode(records: Iterable[tuple[int, int, bytes]]) -> Iterator[tuple]:
                 colrow = (cols, rows)
                 continue
         if rtype == rec.ENDEL:
-            if not in_structure or kind is None:
+            if structure is None or kind is None:
                 raise GdsFormatError("element outside structure")
             if kind == rec.BOUNDARY:
                 yield _boundary((layer, datatype), _ints("i", xy))
-            else:
-                yield _reference(kind, sname, mirrored, angle, colrow, _ints("i", xy))
+            elif kind != rec.TEXT:  # a TEXT label has no geometry
+                yield _reference(kind, sname, strans, mag, angle, colrow, _ints("i", xy))
             kind = None
-        elif rtype == rec.BOUNDARY or rtype == rec.SREF or rtype == rec.AREF:
+        elif (
+            rtype == rec.BOUNDARY
+            or rtype == rec.SREF
+            or rtype == rec.AREF
+            or rtype == rec.TEXT
+        ):
             kind = rtype
             layer = datatype = 0
             sname = ""
-            mirrored = False
+            strans = 0
+            mag = 1.0
             angle = 0.0
             colrow = (1, 1)
             xy = b""
         elif rtype == rec.STRNAME:
-            in_structure = True
-            yield STRUCTURE, _ascii(payload)
+            structure = _ascii(payload)
+            yield STRUCTURE, structure
         elif rtype == rec.ENDSTR:
-            in_structure = False
+            structure = None
         elif rtype == rec.LIBNAME:
             library = True
             yield LIBRARY, _ascii(payload)
@@ -142,6 +169,9 @@ def decode(records: Iterable[tuple[int, int, bytes]]) -> Iterator[tuple]:
             if not library:
                 raise GdsFormatError("UNITS before LIBNAME")
             yield UNITS, metres_per_dbu * 1e9
+        elif rtype in _UNSUPPORTED:
+            where = "outside any structure" if structure is None else f"in {structure!r}"
+            raise GdsFormatError(f"unsupported {_UNSUPPORTED[rtype]} element {where}")
     if not library:
         raise GdsFormatError("missing LIBNAME")
 
@@ -171,13 +201,25 @@ def _boundary(key: tuple[int, int], xy: tuple[int, ...]) -> tuple:
 def _reference(
     kind: int,
     sname: str,
-    mirrored: bool,
+    strans: int,
+    mag: float,
     angle: float,
     colrow: tuple[int, int],
     xy: tuple[int, ...],
 ) -> tuple:
     """The REF event of one SREF or AREF."""
-    orient = _GDS_TO_ORIENT.get((mirrored, angle % 360.0))
+    element = "SREF" if kind == rec.SREF else "AREF"
+    if mag != 1.0:
+        raise GdsFormatError(
+            f"{element} to {sname!r} has MAG {mag:g}; magnification is not supported"
+        )
+    if strans & _ABS_MAG:
+        raise GdsFormatError(
+            f"{element} to {sname!r} sets the STRANS absolute-magnification bit"
+        )
+    if strans & _ABS_ANGLE:
+        raise GdsFormatError(f"{element} to {sname!r} sets the STRANS absolute-angle bit")
+    orient = _GDS_TO_ORIENT.get((bool(strans & _REFLECTION), angle % 360.0))
     if orient is None:
         raise GdsFormatError(f"unsupported angle {angle} (Manhattan database)")
     if kind == rec.SREF:
@@ -205,3 +247,41 @@ def _reference(
     if (cols > 1 and dx == 0) or (rows > 1 and dy == 0):
         raise GdsFormatError(f"AREF to {sname!r} repeats {cols} x {rows} with a zero step")
     return REF, sname, x0, y0, orient, cols, rows, dx, dy
+
+
+def check_references(children: Mapping[str, Iterable[str]]) -> None:
+    """Raise ``GdsFormatError`` for a reference to an unknown cell or for
+    the first reference cycle found.
+
+    ``children`` maps every structure name to the names its references
+    place, in file order.  One iterative depth-first walk over cells
+    (each cell's distinct children, not its placements), so a cycle
+    fails the parse instead of recursing a flatten until
+    ``RecursionError``.
+    """
+    for name in children:
+        for child in children[name]:
+            if child not in children:
+                raise GdsFormatError(f"reference to unknown cell {child!r}")
+
+    def distinct(name: str) -> Iterator[str]:
+        return iter(dict.fromkeys(children[name]))
+
+    done: set[str] = set()
+    for root in children:
+        if root in done:
+            continue
+        path, on_path, stack = [root], {root}, [distinct(root)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+                on_path.discard(path[-1])
+                done.add(path.pop())
+            elif child in on_path:
+                cycle = " -> ".join(path[path.index(child) :] + [child])
+                raise GdsFormatError(f"reference cycle {cycle}")
+            elif child not in done:
+                path.append(child)
+                on_path.add(child)
+                stack.append(distinct(child))

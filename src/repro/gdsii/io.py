@@ -2,8 +2,10 @@
 
 Supported content: BOUNDARY elements (rects and rectilinear polygons),
 SREF/AREF references with the eight lattice orientations, and axis-parallel
-array steps.  Magnification and non-90-degree angles are rejected — this
-database is integer-lattice Manhattan by design.
+array steps.  TEXT labels carry no geometry and are skipped.  Magnification,
+non-90-degree angles and PATH, BOX and NODE elements are rejected with a
+:class:`~repro.gdsii.records.GdsFormatError` — this database is
+integer-lattice Manhattan by design.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import os
 from repro.gdsii import elements as el
 from repro.gdsii import records as rec
 from repro.gdsii.elements import _ORIENT_TO_GDS
-from repro.gdsii.records import GdsFormatError
 from repro.geometry import Polygon, Rect, Transform
 from repro.layout import Cell, Layer, Layout
 
@@ -120,8 +121,10 @@ def read_gds(path: str | os.PathLike, layer_names: dict[tuple[int, int], str] | 
     """Parse a GDSII stream file into a layout library.
 
     ``layer_names`` optionally maps (layer, datatype) to human names.
-    Elements are decoded by :func:`repro.gdsii.elements.decode`, which
-    :func:`repro.gdsii.scan_gds` shares.
+    Elements are decoded by :func:`repro.gdsii.elements.decode`, and
+    references checked by :func:`repro.gdsii.elements.check_references`,
+    both of which :func:`repro.gdsii.scan_gds` shares: a reference to an
+    unknown cell or a reference cycle is a ``GdsFormatError``.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -154,10 +157,12 @@ def read_gds(path: str | os.PathLike, layer_names: dict[tuple[int, int], str] | 
             layout.dbu_nm = event[1]
 
     # decode() raised on a missing LIBNAME
+    children: dict[str, list[str]] = {name: [] for name in cells}
+    for parent, child, *_ in pending:
+        children[parent].append(child)
+    el.check_references(children)
     for cell in cells.values():
         layout.add_cell(cell)
     for parent, child, x, y, orient, cols, rows, dx, dy in pending:
-        if child not in cells:
-            raise GdsFormatError(f"reference to unknown cell {child!r}")
         cells[parent].add_ref(cells[child], Transform(x, y, orient), cols, rows, dx, dy)
     return layout

@@ -16,17 +16,21 @@ BGNSTR = 0x05
 STRNAME = 0x06
 ENDSTR = 0x07
 BOUNDARY = 0x08
+PATH = 0x09
 SREF = 0x0A
 AREF = 0x0B
+TEXT = 0x0C
 LAYER = 0x0D
 DATATYPE = 0x0E
 XY = 0x10
 ENDEL = 0x11
 SNAME = 0x12
 COLROW = 0x13
+NODE = 0x15
 STRANS = 0x1A
 MAG = 0x1B
 ANGLE = 0x1C
+BOX = 0x2D
 
 # data types
 DT_NONE = 0x00
@@ -39,9 +43,10 @@ DT_ASCII = 0x06
 RECORD_NAMES = {
     HEADER: "HEADER", BGNLIB: "BGNLIB", LIBNAME: "LIBNAME", UNITS: "UNITS",
     ENDLIB: "ENDLIB", BGNSTR: "BGNSTR", STRNAME: "STRNAME", ENDSTR: "ENDSTR",
-    BOUNDARY: "BOUNDARY", SREF: "SREF", AREF: "AREF", LAYER: "LAYER",
-    DATATYPE: "DATATYPE", XY: "XY", ENDEL: "ENDEL", SNAME: "SNAME",
-    COLROW: "COLROW", STRANS: "STRANS", MAG: "MAG", ANGLE: "ANGLE",
+    BOUNDARY: "BOUNDARY", PATH: "PATH", SREF: "SREF", AREF: "AREF",
+    TEXT: "TEXT", LAYER: "LAYER", DATATYPE: "DATATYPE", XY: "XY",
+    ENDEL: "ENDEL", SNAME: "SNAME", COLROW: "COLROW", NODE: "NODE",
+    STRANS: "STRANS", MAG: "MAG", ANGLE: "ANGLE", BOX: "BOX",
 }
 
 

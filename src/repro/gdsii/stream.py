@@ -82,10 +82,8 @@ class StreamLibrary:
 def scan_gds(path: str | os.PathLike) -> StreamLibrary:
     """Scan a GDSII file into compact per-cell quad tables.
 
-    Elements are decoded as ``read_gds`` decodes them, so the two
-    reject the same malformed input; on top of that the scan checks
-    that every reference names a known cell and that no reference
-    cycle exists.
+    Elements are decoded, and references checked, as ``read_gds``
+    does it, so the two reject the same malformed input.
     """
     layout_name = ""
     dbu_nm = 1.0
@@ -109,43 +107,10 @@ def scan_gds(path: str | os.PathLike) -> StreamLibrary:
             else:  # UNITS
                 dbu_nm = event[1]
 
-    for cell in cells.values():
-        for ref in cell.refs:
-            if ref[0] not in cells:
-                raise GdsFormatError(f"reference to unknown cell {ref[0]!r}")
-    _check_acyclic(cells)
+    el.check_references(
+        {name: [ref[0] for ref in cell.refs] for name, cell in cells.items()}
+    )
     return StreamLibrary(layout_name, dbu_nm, cells)
-
-
-def _check_acyclic(cells: dict[str, _StreamCell]) -> None:
-    """Raise ``GdsFormatError`` naming the first reference cycle found.
-
-    One iterative depth-first walk over cells (each cell's distinct
-    children, not its placements), so a cycle fails the scan instead of
-    recursing the flatten until ``RecursionError``.
-    """
-
-    def children(name: str) -> Iterator[str]:
-        return iter(dict.fromkeys(ref[0] for ref in cells[name].refs))
-
-    done: set[str] = set()
-    for root in cells:
-        if root in done:
-            continue
-        path, on_path, stack = [root], {root}, [children(root)]
-        while stack:
-            child = next(stack[-1], None)
-            if child is None:
-                stack.pop()
-                on_path.discard(path[-1])
-                done.add(path.pop())
-            elif child in on_path:
-                cycle = " -> ".join(path[path.index(child) :] + [child])
-                raise GdsFormatError(f"reference cycle {cycle}")
-            elif child not in done:
-                path.append(child)
-                on_path.add(child)
-                stack.append(children(child))
 
 
 def flatten(lib: StreamLibrary, cell: str | None, emit: EmitFn) -> None:

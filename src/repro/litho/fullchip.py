@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from repro.core.report import BaseReport
 from repro.geometry import GridIndex, Rect, Region
@@ -330,7 +329,6 @@ def scan_full_chip(
     checkpoint_file: str | None = None,
     resume: bool = False,
     executor: TileExecutor | None = None,
-    sharer: "Callable[[_ScanPayload], SharedPayload | None] | None" = None,
 ) -> FullChipScanReport:
     """Scan an entire layout tile by tile.
 
@@ -367,19 +365,18 @@ def scan_full_chip(
 
     ``executor`` lets a long-lived caller (the verification service)
     supply its own — typically persistent — :class:`TileExecutor`
-    instead of a per-run one; its ``jobs`` takes precedence.  ``sharer``
-    overrides how a pooled run's payload moves into shared memory: the
-    default packs (and unlinks) a fresh arena per run, while a
-    resident-layout session serves a pre-packed, session-owned one.
-    Both hooks leave results and cache keys byte-identical.
+    instead of a per-run one; its ``jobs`` takes precedence, and
+    results and cache keys are byte-identical either way.  A pooled
+    in-RAM run packs its geometry into a shared-memory arena of its own,
+    which the executor unlinks when the run ends.
 
     ``drawn`` (and ``mask``) may be a
     :class:`~repro.layout.store.StoreLayer` instead of a region: the
     scan then runs out of core — workers mmap the layout store
-    read-only and window it per tile, the shm sharer is skipped (the
-    payload is already a constant-size handle), and hotspots, counters,
-    and tile-cache keys are bit-identical to the in-RAM path because
-    the store serves the same canonical rects and digests.
+    read-only and window it per tile, no arena is packed (the payload
+    is already a constant-size handle), and hotspots, counters, and
+    tile-cache keys are bit-identical to the in-RAM path because the
+    store serves the same canonical rects and digests.
     """
     t_start = time.perf_counter()
     report = FullChipScanReport()
@@ -452,7 +449,7 @@ def scan_full_chip(
             and not store_backed  # store handles already pickle tiny
             and (tile_executor.jobs > 1 or timeout is not None)
         ):
-            shared = (sharer or _share_payload)(payload)
+            shared = _share_payload(payload)
             if shared is not None:
                 exec_payload = shared
         outcome = tile_executor.run(

@@ -279,9 +279,6 @@ class TileExecutor:
         self.cancel_event: threading.Event | None = None
         self._pool: multiprocessing.pool.Pool | None = None
         self._pool_key: tuple[bytes, bool] | None = None
-        # strong ref to the warm pool's payload: the byte-key is only a
-        # proxy, and holding the object pins the shm handles it names
-        self._pool_payload: Any = None
 
     # -- lifetime -------------------------------------------------------
     def close(self) -> None:
@@ -291,7 +288,6 @@ class TileExecutor:
         only needed (but is always safe) in ``persistent`` mode.
         """
         pool, self._pool, self._pool_key = self._pool, None, None
-        self._pool_payload = None
         if pool is not None:
             pool.terminate()
             pool.join()
@@ -377,7 +373,6 @@ class TileExecutor:
         self.close()
         pool = self._make_pool(payload, faults, self.jobs, wire)
         self._pool, self._pool_key = pool, key
-        self._pool_payload = payload
         return pool
 
     def _retire_pool(self, pool: multiprocessing.pool.Pool, broken: bool) -> None:
@@ -389,7 +384,7 @@ class TileExecutor:
         if self.persistent and not broken and pool is self._pool:
             return
         if pool is self._pool:
-            self._pool, self._pool_key, self._pool_payload = None, None, None
+            self._pool, self._pool_key = None, None
         pool.terminate()
         pool.join()
 
@@ -418,10 +413,8 @@ class TileExecutor:
         work = list(items)
         # a SharedPayload crosses the wire as its (small) inner payload;
         # in-process execution uses the inner payload directly, and the
-        # executor owns an *owned* arena: the block is unlinked when we
-        # return (a session-owned arena outlives the call untouched)
+        # executor owns the arena: the block is unlinked when we return
         shared = payload if isinstance(payload, SharedPayload) else None
-        arena = shared.arena if shared is not None and shared.owned else None
         inner = shared.inner if shared is not None else payload
         try:
             if self.jobs <= 1 or len(work) <= 1:
@@ -448,8 +441,8 @@ class TileExecutor:
                     registry.merge(snapshot)
             return [result for part, _ in parts for result in part]
         finally:
-            if arena is not None:
-                arena.close()
+            if shared is not None:
+                shared.arena.close()
 
     # -- fault-tolerant fan-out -----------------------------------------
     def run(
@@ -510,17 +503,11 @@ class TileExecutor:
             max_retries=max_retries,
             backoff_s=backoff_s,
         )
-        # a SharedPayload ships its inner payload over the wire; an owned
-        # arena dies with the run — unlinked on success, abort, interrupt,
-        # and across timeout-driven pool re-creation alike — while a
-        # session-owned one (owned=False) survives for the next request
-        shared_wrap = payload if isinstance(payload, SharedPayload) else None
-        arena = (
-            shared_wrap.arena
-            if shared_wrap is not None and shared_wrap.owned
-            else None
-        )
-        inner = shared_wrap.inner if shared_wrap is not None else payload
+        # a SharedPayload ships its inner payload over the wire; its arena
+        # dies with the run — unlinked on success, abort and interrupt
+        # alike, and kept across timeout-driven pool re-creation
+        shared = payload if isinstance(payload, SharedPayload) else None
+        inner = shared.inner if shared is not None else payload
         try:
             if pending:
                 use_pool = self.jobs > 1 or timeout is not None
@@ -540,8 +527,8 @@ class TileExecutor:
                 checkpoint.flush()
             raise
         finally:
-            if arena is not None:
-                arena.close()
+            if shared is not None:
+                shared.arena.close()
         if checkpoint is not None:
             checkpoint.flush()
         outcome.results = [results.get(key) for key in item_keys]

@@ -245,21 +245,16 @@ class SharedPayload:
 
     Pickles as the inner payload alone, so workers receive the engine's
     own payload object whose :class:`ShmRects` handles reattach lazily.
-    Passing an *owned* ``SharedPayload`` (the default) to
-    :meth:`TileExecutor.run <repro.parallel.TileExecutor.run>` (or
-    ``map``) transfers ownership of the arena: the executor unlinks the
-    block when the run ends.  With ``owned=False`` the arena belongs to
-    a longer-lived holder — a resident layout session serving many runs
-    from one packed block — and the executor leaves it alone; the
-    holder must call :meth:`ShmArena.close` itself.
+    Passing a ``SharedPayload`` to :meth:`TileExecutor.run
+    <repro.parallel.TileExecutor.run>` (or ``map``) transfers ownership
+    of the arena: the executor unlinks the block when the run ends.
     """
 
-    __slots__ = ("inner", "arena", "owned")
+    __slots__ = ("inner", "arena")
 
-    def __init__(self, inner: Any, arena: ShmArena, owned: bool = True) -> None:
+    def __init__(self, inner: Any, arena: ShmArena) -> None:
         self.inner = inner
         self.arena = arena
-        self.owned = owned
 
     def __reduce__(self) -> tuple[Any, tuple[Any]]:
         return (_unwrap, (self.inner,))

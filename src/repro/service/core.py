@@ -5,11 +5,11 @@ socket front end in :mod:`repro.service.daemon` is a thin wrapper).  It
 owns four long-lived pieces and wires every job through all of them:
 
 * a :class:`~repro.service.session.SessionManager` of resident layouts,
-  so a request against a warm session skips GDSII parse, flatten, and
-  canonicalization entirely;
+  so a request against a warm session skips the GDSII parse (and, for
+  a store-backed session, the flatten too);
 * one persistent :class:`~repro.parallel.TileExecutor` whose worker
-  pool stays warm across requests (the ``pool.warm_reuse`` counter
-  proves it);
+  pool stays warm across requests with an identical payload (the
+  ``pool.warm_reuse`` counter proves it);
 * a :class:`~repro.parallel.cache.ResultStore` shared across runs and
   clients, so any client's re-verify after an edit recomputes only the
   dirty tiles — whoever computed the clean ones;
@@ -19,9 +19,9 @@ owns four long-lived pieces and wires every job through all of them:
 
 Jobs run one at a time on the dispatcher thread — the parallelism is
 *inside* a job (the executor's worker pool), which keeps results
-deterministic and the warm pool's payload residency coherent.  Per-job
-``timeout_s`` and :meth:`~VerificationService.cancel` reuse the
-executor's cooperative abort machinery: the run raises
+deterministic.  Per-job ``timeout_s`` and
+:meth:`~VerificationService.cancel` reuse the executor's cooperative
+abort machinery: the run raises
 :class:`~repro.parallel.AbortRun` at the next tile boundary and any
 checkpoint is flushed, exactly like an operator interrupt.
 """
@@ -419,7 +419,9 @@ class VerificationService:
         tech = self._tech(node)
         # store-backed sessions serve windowed rects straight from the
         # mmapped store file: no parse, no flatten, no arena — and the
-        # tile cache keys are interchangeable with the in-RAM path
+        # tile cache keys are interchangeable with the in-RAM path.  An
+        # in-RAM session flattens and scans its parsed cell exactly as
+        # the one-shot CLI does.
         layout_store = session.store_for(params.get("cell"))
         cell = session.cell(params.get("cell")) if layout_store is None else None
         if job.kind == "scan":
@@ -429,10 +431,8 @@ class VerificationService:
                 # an empty layer has no rect run to window; its (empty)
                 # region scans identically
                 drawn = store_layer if not store_layer.is_empty else store_layer.region()
-                sharer = None
             else:
-                drawn = session.region(cell, layer)
-                sharer = session.scan_sharer(cell, layer)
+                drawn = cell.region(layer)
             view = self.store.view(
                 self.store.namespace("scan", __version__, node)
             )
@@ -445,7 +445,6 @@ class VerificationService:
                 cache=view,
                 timeout=chunk_timeout,
                 executor=self.executor,
-                sharer=sharer,
             )
             listing = [str(h) for h in report.hotspots[:limit]]
         elif job.kind == "drc":
@@ -455,31 +454,17 @@ class VerificationService:
                     "drc", __version__, node, tuple(repr(r) for r in deck)
                 )
             )
-            if layout_store is not None:
-                report = run_drc(
-                    None,
-                    deck,
-                    None,
-                    jobs=self.executor.jobs,
-                    tile_nm=tile_nm,
-                    cache=view,
-                    timeout=chunk_timeout,
-                    executor=self.executor,
-                    store=layout_store,
-                )
-            else:
-                report = run_drc(
-                    cell,
-                    deck,
-                    None,
-                    jobs=self.executor.jobs,
-                    tile_nm=tile_nm,
-                    cache=view,
-                    timeout=chunk_timeout,
-                    region_source=session.region_source(cell),
-                    executor=self.executor,
-                    sharer=session.drc_sharer(cell, None),
-                )
+            report = run_drc(
+                cell,
+                deck,
+                None,
+                jobs=self.executor.jobs,
+                tile_nm=tile_nm,
+                cache=view,
+                timeout=chunk_timeout,
+                executor=self.executor,
+                store=layout_store,
+            )
             listing = [str(v) for v in report.violations[:limit]]
         else:  # unreachable: submit() validates the kind
             raise BadRequestError(f"unknown job kind {job.kind!r}")

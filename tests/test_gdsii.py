@@ -356,3 +356,227 @@ class TestRectFastPath:
         assert any(isinstance(s, Rect) for s in shapes)
         assert any(isinstance(s, Polygon) for s in shapes)
         assert any(isinstance(s, Exception) for s in shapes)
+
+
+# -- the element contract: magnification, labels, unsupported elements ------
+
+# record types of TEXT, PATH, BOX and NODE bodies that the reader never
+# interprets (Calma GDSII Stream Format)
+_WIDTH, _TEXTTYPE, _PRESENTATION, _STRING, _NODETYPE, _BOXTYPE = (
+    0x0F,
+    0x16,
+    0x17,
+    0x19,
+    0x2A,
+    0x2E,
+)
+
+
+def _placed(kind: str, strans: int | None = None, mag: float | None = None) -> bytes:
+    """An SREF (at (20, 0)) or a 2 x 1 AREF (from (20, 0), step 20) of
+    LEAF, with optional STRANS and MAG records."""
+    from repro.gdsii import records as rec
+
+    chunks = [
+        rec.rec_empty(rec.SREF if kind == "SREF" else rec.AREF),
+        rec.rec_ascii(rec.SNAME, "LEAF"),
+    ]
+    if strans is not None:
+        chunks.append(rec.make_record(rec.STRANS, rec.DT_BITARRAY, strans.to_bytes(2, "big")))
+    if mag is not None:
+        chunks.append(rec.rec_real8(rec.MAG, [mag]))
+    if kind == "AREF":
+        chunks.append(rec.rec_int2(rec.COLROW, [2, 1]))
+        chunks.append(rec.rec_int4(rec.XY, [20, 0, 60, 0, 20, 10]))
+    else:
+        chunks.append(rec.rec_int4(rec.XY, [20, 0]))
+    chunks.append(rec.rec_empty(rec.ENDEL))
+    return b"".join(chunks)
+
+
+def _element(rtype: int, body: list[bytes]) -> bytes:
+    """An element of record type ``rtype`` holding ``body`` records."""
+    from repro.gdsii import records as rec
+
+    return b"".join([rec.rec_empty(rtype), *body, rec.rec_empty(rec.ENDEL)])
+
+
+def _text_label() -> bytes:
+    """A TEXT label whose own STRANS and MAG this reader must not check."""
+    from repro.gdsii import records as rec
+
+    return _element(
+        rec.TEXT,
+        [
+            rec.rec_int2(rec.LAYER, [10]),
+            rec.rec_int2(_TEXTTYPE, [0]),
+            rec.make_record(_PRESENTATION, rec.DT_BITARRAY, (0x0005).to_bytes(2, "big")),
+            rec.make_record(rec.STRANS, rec.DT_BITARRAY, (0x8006).to_bytes(2, "big")),
+            rec.rec_real8(rec.MAG, [2.0]),
+            rec.rec_real8(rec.ANGLE, [45.0]),
+            rec.rec_int4(rec.XY, [5, 5]),
+            rec.rec_ascii(_STRING, "VDD"),
+        ],
+    )
+
+
+def _top(parse, path) -> tuple[list[tuple[int, ...]], list[tuple]]:
+    """TOP's own M1 rects and its references, the same shape from both
+    parsers: ``[(x0, y0, x1, y1)]`` and ``[(child, x, y, orientation,
+    columns, rows, step x, step y)]``."""
+    lib = parse(path)
+    if isinstance(lib, Layout):
+        top = lib.cell("TOP")
+        refs = [
+            (
+                r.cell.name,
+                r.transform.dx,
+                r.transform.dy,
+                r.transform.orientation,
+                r.columns,
+                r.rows,
+                r.dx,
+                r.dy,
+            )
+            for r in top.references
+        ]
+        return [s.as_tuple() for s in top.shapes(M1)], refs
+    top = lib.cells["TOP"]
+    quads = top.quads.get((10, 0))
+    flat = quads.tolist() if quads is not None else []
+    rects = [tuple(flat[i : i + 4]) for i in range(0, len(flat), 4)]
+    return rects, list(top.refs)
+
+
+_RECT = [0, 0, 30, 0, 30, 20, 0, 20, 0, 0]
+
+
+class TestElementContract:
+    """What both parsers make of magnification, TEXT labels and the
+    element kinds this Manhattan database has no model for."""
+
+    @_parsers()
+    @pytest.mark.parametrize("kind", ["SREF", "AREF"])
+    def test_magnified_reference_is_rejected(self, tmp_path, parse, kind):
+        # read back at 1x, a MAG 2.0 SREF used to put LEAF's 10 x 5 rect
+        # at (20, 0, 30, 5) instead of (20, 0, 40, 10): a wrong answer
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_placed(kind, mag=2.0)]))
+        with pytest.raises(GdsFormatError, match=f"{kind} to 'LEAF' has MAG 2"):
+            parse(path)
+
+    @_parsers()
+    @pytest.mark.parametrize("kind", ["SREF", "AREF"])
+    def test_unit_magnification_is_accepted(self, tmp_path, parse, kind):
+        plain, unit = tmp_path / "plain.gds", tmp_path / "unit.gds"
+        plain.write_bytes(_library([_placed(kind)]))
+        unit.write_bytes(_library([_placed(kind, strans=0, mag=1.0)]))
+        assert _top(parse, unit) == _top(parse, plain)
+        assert _top(parse, unit)[1][0][:3] == ("LEAF", 20, 0)
+
+    @_parsers()
+    @pytest.mark.parametrize(
+        "bits, field",
+        [
+            (0x0004, "absolute-magnification"),
+            (0x0002, "absolute-angle"),
+            (0x8004, "absolute-magnification"),
+        ],
+        ids=["abs-mag", "abs-angle", "reflected-abs-mag"],
+    )
+    def test_absolute_strans_bits_are_rejected(self, tmp_path, parse, bits, field):
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_placed("SREF", strans=bits)]))
+        with pytest.raises(GdsFormatError, match=f"STRANS {field} bit"):
+            parse(path)
+
+    @_parsers()
+    def test_text_label_leaves_geometry_unchanged(self, tmp_path, parse):
+        bare, labelled = tmp_path / "bare.gds", tmp_path / "labelled.gds"
+        bare.write_bytes(_library([_boundary(_RECT), _placed("SREF")]))
+        labelled.write_bytes(
+            _library([_text_label(), _boundary(_RECT), _text_label(), _placed("SREF")])
+        )
+        assert _top(parse, labelled) == _top(parse, bare)
+        assert _top(parse, labelled) == (
+            [(0, 0, 30, 20)],
+            [("LEAF", 20, 0, Orientation.R0, 1, 1, 0, 0)],
+        )
+
+    @_parsers()
+    @pytest.mark.parametrize("name", ["PATH", "BOX", "NODE"])
+    def test_unsupported_element_is_rejected_by_name(self, tmp_path, parse, name):
+        from repro.gdsii import records as rec
+
+        xy = rec.rec_int4(rec.XY, [0, 0, 100, 0])
+        body = {
+            "PATH": [rec.rec_int2(rec.LAYER, [10]), rec.rec_int2(rec.DATATYPE, [0]),
+                     rec.rec_int4(_WIDTH, [20]), xy],
+            "BOX": [rec.rec_int2(rec.LAYER, [10]), rec.rec_int2(_BOXTYPE, [0]),
+                    rec.rec_int4(rec.XY, _RECT)],
+            "NODE": [rec.rec_int2(rec.LAYER, [10]), rec.rec_int2(_NODETYPE, [0]), xy],
+        }[name]
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_boundary(_RECT), _element(getattr(rec, name), body)]))
+        with pytest.raises(GdsFormatError, match=f"^unsupported {name} element in 'TOP'$"):
+            parse(path)
+
+
+def _chain(links: dict[str, list[str]]) -> bytes:
+    """A library whose structures reference each other as ``links``
+    says, each holding one 10 x 10 rect."""
+    from repro.gdsii import records as rec
+
+    out = [
+        rec.rec_int2(rec.HEADER, [600]),
+        rec.rec_int2(rec.BGNLIB, [1970, 1, 1, 0, 0, 0] * 2),
+        rec.rec_ascii(rec.LIBNAME, "LIB"),
+        rec.rec_real8(rec.UNITS, [1e-3, 1e-9]),
+    ]
+    for name, children in links.items():
+        out += [
+            rec.rec_int2(rec.BGNSTR, [1970, 1, 1, 0, 0, 0] * 2),
+            rec.rec_ascii(rec.STRNAME, name),
+            _boundary([0, 0, 10, 0, 10, 10, 0, 10, 0, 0]),
+        ]
+        for child in children:
+            out.append(
+                b"".join(
+                    [
+                        rec.rec_empty(rec.SREF),
+                        rec.rec_ascii(rec.SNAME, child),
+                        rec.rec_int4(rec.XY, [20, 0]),
+                        rec.rec_empty(rec.ENDEL),
+                    ]
+                )
+            )
+        out.append(rec.rec_empty(rec.ENDSTR))
+    out.append(rec.rec_empty(rec.ENDLIB))
+    return b"".join(out)
+
+
+class TestReferenceGraph:
+    """A reference cycle or a reference to a missing cell is the same
+    ``GdsFormatError`` from both parsers."""
+
+    @_parsers()
+    @pytest.mark.parametrize(
+        "links, message",
+        [
+            ({"TOP": ["A"], "A": ["B"], "B": ["A"]}, "reference cycle A -> B -> A"),
+            ({"TOP": ["A"], "A": ["A"]}, "reference cycle A -> A"),
+            ({"TOP": ["A", "NOPE"], "A": []}, "reference to unknown cell 'NOPE'"),
+        ],
+        ids=["cycle", "self-reference", "unknown-cell"],
+    )
+    def test_bad_reference_is_a_format_error(self, tmp_path, parse, links, message):
+        path = tmp_path / "f.gds"
+        path.write_bytes(_chain(links))
+        with pytest.raises(GdsFormatError, match=f"^{re.escape(message)}$"):
+            parse(path)
+
+    @_parsers()
+    def test_shared_child_is_not_a_cycle(self, tmp_path, parse):
+        path = tmp_path / "f.gds"
+        path.write_bytes(_chain({"TOP": ["A", "B"], "A": ["B"], "B": []}))
+        parse(path)

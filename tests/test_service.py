@@ -19,7 +19,8 @@ import time
 import pytest
 
 from repro import api
-from repro.gdsii import write_gds
+from repro.gdsii import read_gds, write_gds
+from repro.geometry import Rect
 from repro.obs import MetricsRegistry, names, set_registry
 from repro.parallel import AbortRun, TileCache, TileExecutor
 from repro.service import (
@@ -421,6 +422,73 @@ class TestServiceLifecycle:
             assert metrics["store"]["misses"] > 0
             assert metrics["latency_ms"]["count"] == 1
             assert metrics["latency_ms"]["p50"] > 0
+
+
+def _shm_segments() -> set[str] | None:
+    """The ``psm_*`` shared-memory segments in ``/dev/shm``, or None on a
+    host without it."""
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+    except FileNotFoundError:
+        return None
+
+
+class TestPooledService:
+    """At jobs=2 the daemon calls the engines as the one-shot CLI does:
+    the same listings, from a shared-memory arena each run packs for
+    itself and unlinks when it ends."""
+
+    def test_pooled_jobs_match_oneshot_and_leave_no_arena(
+        self, gds_path, tech45, tmp_path
+    ):
+        layout = read_gds(gds_path)
+        top = layout.top_cell()
+        m1 = resolve_layer(tech45, "M1")
+        # minimum-rule violators above the block: a 20 nm wide wire and
+        # two wires 10 nm apart, so the DRC listing is not empty
+        for rect in (
+            Rect(1000, 2300, 1020, 2700),
+            Rect(2000, 2300, 2070, 2700),
+            Rect(2080, 2300, 2150, 2700),
+        ):
+            top.add_rect(m1, rect)
+        path = tmp_path / "violators.gds"
+        write_gds(layout, path)
+        params = {"gds": str(path), "tile": 2000, "limit": 10_000}
+
+        def run_and_check(service: VerificationService, kind: str) -> Job:
+            before = _shm_segments()
+            job = ServiceClient(service).run(kind, params)
+            assert job.state is JobState.DONE, job.error
+            assert job.result["tiles_computed"] > 0  # so the run was pooled
+            if before is not None:
+                assert _shm_segments() - before == set(), f"{kind} left its arena"
+            return job
+
+        with VerificationService(jobs=2) as service:
+            scan = run_and_check(service, "scan")
+            drc = run_and_check(service, "drc")
+            first = read_gds(path).top_cell()
+            # an edit reloads the session; its dirty tiles run pooled again
+            top.add_rect(m1, Rect(4200, 2300, 4270, 2700))
+            write_gds(layout, path)
+            rescan = run_and_check(service, "scan")
+            assert 0 < rescan.result["tiles_cached"] < rescan.result["tiles"]
+
+        edited = read_gds(path).top_cell()
+        for job, cell in ((scan, first), (rescan, edited)):
+            direct = api.scan_full_chip(
+                tech45,
+                cell.region(m1),
+                tile_nm=2000,
+                pinch_limit=tech45.metal_width // 2,
+                jobs=2,
+            )
+            assert direct.hotspots
+            assert job.result["listing"] == [str(h) for h in direct.hotspots]
+        direct_drc = api.run_drc(first, tech45.rules.minimum(), tile_nm=2000, jobs=2)
+        assert len(direct_drc.violations) >= 2
+        assert drc.result["listing"] == [str(v) for v in direct_drc.violations]
 
 
 class TestPersistentExecutor:
