@@ -23,7 +23,7 @@ fixed tiling, serial and parallel runs are identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.drc import checks
@@ -34,9 +34,6 @@ from repro.layout.store import StoreRects, StoreView
 from repro.obs import get_registry, names, span
 from repro.parallel import (
     FaultPlan,
-    SharedPayload,
-    ShmArena,
-    ShmRects,
     Tile,
     TileCache,
     TileExecutor,
@@ -226,57 +223,17 @@ def run_drc_regions(
     return report
 
 
-class _SharedLayerRegions:
-    """Layer→Region mapping whose geometry lives in shared memory.
-
-    Stands in for the payload's plain region dict on pooled runs: it
-    pickles as ``{layer: ShmRects}`` handles only, and each worker
-    rebuilds a layer's :class:`Region` — from the handle's canonical
-    rect order, so digests and results are bit-identical — on first
-    access, caching it for the rest of the process.  The parent-side
-    instance is seeded with the original regions, so in-process reads
-    never touch the mapping.
-    """
-
-    __slots__ = ("_handles", "_regions")
-
-    def __init__(
-        self,
-        handles: dict[Layer, ShmRects],
-        regions: dict[Layer, Region] | None = None,
-    ):
-        self._handles = handles
-        self._regions: dict[Layer, Region] = dict(regions) if regions else {}
-
-    def __getstate__(self) -> dict[Layer, ShmRects]:
-        return self._handles
-
-    def __setstate__(self, state: dict[Layer, ShmRects]) -> None:
-        self._handles = state
-        self._regions = {}
-
-    def get(self, layer: Layer, default: Region | None = None) -> Region | None:
-        region = self._regions.get(layer)
-        if region is None:
-            handle = self._handles.get(layer)
-            if handle is None:
-                return default
-            region = Region.from_canonical_rects(handle.rects())
-            self._regions[layer] = region
-        return region
-
-
 class _StoreLayerRegions:
     """Layer→Region mapping backed by an out-of-core layout store.
 
-    The store-file twin of :class:`_SharedLayerRegions`: it pickles as
-    ``{layer: StoreRects}`` handles (three scalars each) plus the
-    per-layer digests recorded at ingest, and workers mmap the store
-    read-only instead of reattaching a shm segment.  Tile tasks go
-    through :meth:`clipped`, which materializes only the rects whose
-    bbox touches the tile window — a worker's resident geometry is
-    bounded by its tile, not the chip.  ``get`` (full materialization)
-    is kept for global rules and the single-pass engine.
+    It stands in for the plain per-layer dict on store-backed runs: it
+    pickles as ``{layer: StoreRects}`` handles (three scalars each) plus
+    the per-layer digests recorded at ingest, and workers mmap the store
+    read-only.  Tile tasks go through :meth:`clipped`, which
+    materializes only the rects whose bbox touches the tile window — a
+    worker's resident geometry is bounded by its tile, not the chip.
+    ``get`` (full materialization) is kept for global rules and the
+    single-pass engine.
 
     Digests come from the store directory, where they were computed
     slab-by-slab during ingest with the exact ``Region.digest()``
@@ -350,7 +307,7 @@ class _StoreLayerRegions:
 
 
 def _clip_layer(
-    regions: "dict[Layer, Region] | _SharedLayerRegions | _StoreLayerRegions",
+    regions: "dict[Layer, Region] | _StoreLayerRegions",
     layer: Layer,
     window: Rect,
 ) -> Region:
@@ -361,7 +318,7 @@ def _clip_layer(
 
 
 def _layer_digest(
-    regions: "dict[Layer, Region] | _SharedLayerRegions | _StoreLayerRegions",
+    regions: "dict[Layer, Region] | _StoreLayerRegions",
     layer: Layer,
 ) -> str:
     """Full-layer digest without materializing store-backed layers."""
@@ -373,38 +330,19 @@ def _layer_digest(
 
 @dataclass(frozen=True)
 class _DrcPayload:
-    """Read-only per-run state shipped to each worker once.
+    """Read-only per-run state handed to each worker once.
 
-    ``regions`` is one of: the plain per-layer dict; a
-    :class:`_SharedLayerRegions` mapping (pooled in-RAM runs, packed
-    per run by :func:`_share_drc_payload`) whose geometry travels
-    through shared memory instead of the pickle wire; or a
-    :class:`_StoreLayerRegions` mapping (store-backed runs) that serves
-    windowed clips straight from the mmapped layout store.  All expose
-    the same ``get`` access the tasks use.
+    ``regions`` is either the plain per-layer dict, which fork workers
+    inherit from the parent, or a :class:`_StoreLayerRegions` mapping
+    (store-backed runs) that serves windowed clips straight from the
+    mmapped layout store.  Both expose the same ``get`` access the
+    tasks use.
     """
 
-    regions: "dict[Layer, Region] | _SharedLayerRegions | _StoreLayerRegions"
+    regions: "dict[Layer, Region] | _StoreLayerRegions"
     local_rules: tuple[Rule, ...]
     global_rules: tuple[Rule, ...]
     extent: Rect
-
-
-def _share_drc_payload(payload: _DrcPayload) -> SharedPayload | None:
-    """Repack the payload's per-layer regions into shared memory.
-
-    Only rule decks and scalars then cross the pickle wire.  Returns
-    ``None`` — caller ships the payload pickled — when shared memory is
-    unavailable.
-    """
-    layers = list(payload.regions)
-    arena = ShmArena.pack(
-        [list(payload.regions[layer].rects()) for layer in layers]
-    )
-    if arena is None:
-        return None
-    store = _SharedLayerRegions(dict(zip(layers, arena.handles)), payload.regions)
-    return SharedPayload(replace(payload, regions=store), arena)
 
 
 # A task is ("tile", Tile) for the local deck over one tile window, or
@@ -499,10 +437,9 @@ def run_drc_tiled(
     ``report.quarantined`` instead of raising, and ``checkpoint_file``
     (+ ``resume``) persists completed tasks for interrupted runs.
 
-    A pooled run over in-RAM regions packs them into a shared-memory
-    arena of its own (:func:`_share_drc_payload`), which the executor
-    unlinks when the run ends; store-backed regions already pickle as
-    file handles and pack nothing.
+    A pooled run hands its payload to the pool as it is: on Linux the
+    workers fork from this process and inherit in-RAM regions, and
+    store-backed regions pickle as file handles.
     """
     t_start = time.perf_counter()
     local = tuple(r for r in deck if isinstance(r, _LOCAL_KINDS))
@@ -550,24 +487,10 @@ def run_drc_tiled(
         checkpoint = open_checkpoint(checkpoint_file, signature, resume=resume)
 
     with span("drc.compute"):
-        # pooled runs move the per-layer geometry into shared memory so
-        # the per-worker pickle payload stays constant-size; task keys
-        # above were computed from the plain payload and are identical
         tile_executor = executor if executor is not None else TileExecutor(jobs)
-        exec_payload: _DrcPayload | SharedPayload = payload
-        if (
-            pending
-            # store-backed payloads already pickle as (path, offset, count)
-            # handles; no shm arena needed
-            and not isinstance(regions, _StoreLayerRegions)
-            and (tile_executor.jobs > 1 or timeout is not None)
-        ):
-            shared = _share_drc_payload(payload)
-            if shared is not None:
-                exec_payload = shared
         outcome = tile_executor.run(
             _drc_task,
-            exec_payload,
+            payload,
             [t for _, t in pending],
             keys=[i for i, _ in pending],
             timeout=timeout,

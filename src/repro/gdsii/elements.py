@@ -33,9 +33,12 @@ point, an AREF with three, at least one column and one row,
 axis-parallel steps, a displacement that is a whole multiple of the
 column and row counts, and a non-zero step along every repeated axis.
 Each violation raises :class:`~repro.gdsii.records.GdsFormatError`,
-naming the field.  :func:`check_references` then checks, for both
-parsers, that every reference names a cell of the library and that no
-reference cycle exists.
+naming the field, as does a record too short for its values (an empty
+LAYER or DATATYPE, a COLROW without two values, an XY not a whole
+number of int4 pairs, a UNITS without two reals).
+:func:`check_references` then checks, for both parsers, that every
+reference names a cell of the library and that no reference cycle
+exists.
 """
 
 from __future__ import annotations
@@ -89,6 +92,13 @@ def _ints(code: str, payload: bytes) -> tuple[int, ...]:
     return unpacker.unpack(payload)
 
 
+def _int2(payload: bytes, name: str) -> int:
+    """The first int2 value of a LAYER or DATATYPE payload."""
+    if len(payload) < 2:
+        raise GdsFormatError(f"{name} record has no value")
+    return int.from_bytes(payload[:2], "big", signed=True)
+
+
 def _ascii(payload: bytes) -> str:
     return payload.rstrip(b"\x00").decode("ascii")
 
@@ -108,13 +118,15 @@ def decode(records: Iterable[tuple[int, int, bytes]]) -> Iterator[tuple]:
     for rtype, _, payload in records:
         if kind is not None:
             if rtype == rec.XY:
+                if len(payload) % 8:
+                    raise GdsFormatError(f"XY record of {len(payload)} bytes is not int4 pairs")
                 xy = payload
                 continue
             if rtype == rec.LAYER:
-                layer = _ints("h", payload)[0]
+                layer = _int2(payload, "LAYER")
                 continue
             if rtype == rec.DATATYPE:
-                datatype = _ints("h", payload)[0]
+                datatype = _int2(payload, "DATATYPE")
                 continue
             if rtype == rec.SNAME:
                 sname = _ascii(payload)
@@ -129,6 +141,8 @@ def decode(records: Iterable[tuple[int, int, bytes]]) -> Iterator[tuple]:
                 angle = decode_real8(payload[:8])
                 continue
             if rtype == rec.COLROW:
+                if len(payload) != 4:
+                    raise GdsFormatError(f"COLROW record of {len(payload)} bytes, not 2 int2")
                 cols, rows = _ints("h", payload)
                 colrow = (cols, rows)
                 continue
@@ -163,9 +177,9 @@ def decode(records: Iterable[tuple[int, int, bytes]]) -> Iterator[tuple]:
             library = True
             yield LIBRARY, _ascii(payload)
         elif rtype == rec.UNITS:
-            _, metres_per_dbu = (
-                decode_real8(payload[i : i + 8]) for i in range(0, len(payload), 8)
-            )
+            if len(payload) != 16:
+                raise GdsFormatError(f"UNITS record of {len(payload)} bytes, not 2 real8")
+            metres_per_dbu = decode_real8(payload[8:16])
             if not library:
                 raise GdsFormatError("UNITS before LIBNAME")
             yield UNITS, metres_per_dbu * 1e9

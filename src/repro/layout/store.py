@@ -697,10 +697,9 @@ def ensure_store(
 class StoreRects:
     """Picklable handle to one store layer: ``(path, offset, count)``.
 
-    The worker-side twin of :class:`repro.parallel.shm.ShmRects`, with
-    the shm segment replaced by the store file: unpickling costs three
-    scalars on the wire, and resolution mmaps (or reuses) the store
-    read-only — no geometry ever crosses the pipe.
+    Unpickling costs three scalars on the wire, and resolution mmaps
+    (or reuses) the store read-only — no geometry ever crosses the
+    pipe.
     """
 
     __slots__ = ("path", "offset", "count", "_layer")

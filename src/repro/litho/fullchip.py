@@ -22,7 +22,7 @@ scan pick up from its last checkpoint with byte-identical results.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.report import BaseReport
 from repro.geometry import GridIndex, Rect, Region
@@ -34,9 +34,6 @@ from repro.obs import get_registry, names, span
 from repro.parallel import (
     FaultPlan,
     QuarantinedTile,
-    SharedPayload,
-    ShmArena,
-    ShmRects,
     Tile,
     TileCache,
     TileExecutor,
@@ -93,23 +90,20 @@ class FullChipScanReport(BaseReport):
 class _ScanGeometry:
     """One layer's canonical rects plus a lazily-built spatial index.
 
-    Shipped to workers instead of the whole-chip :class:`Region`: only
-    the flat rect list travels over the wire (the grid buckets are
-    rebuilt on first use in each process), and each tile's simulation
-    queries the index so it touches only the geometry near the tile.
-    The in-process geometry also keeps the region it was made from
-    (never pickled) for the tile-key clips.
+    Each tile's simulation queries the index (its grid buckets built on
+    first use in each process), so it touches only the geometry near the
+    tile; the tile-key clips use the region itself.
 
-    The rect source is one of three shapes: the flat list itself; a
-    :class:`~repro.parallel.ShmRects` handle (after :meth:`shared`
-    repacks it for a pooled run), which pickles as a name and offset
-    and materializes the same list from shared memory on first use in
-    each worker; or — when the scan is store-backed — a
-    :class:`~repro.layout.store.StoreRects` handle, which pickles as
-    ``(path, offset, count)`` and answers window queries straight from
-    the mmapped store without ever materializing the layer.  Every
-    source preserves canonical rect order and the closed-touches window
-    contract, so indexes, clips, and digests are identical throughout.
+    The rect source is one of two shapes: the region's flat rect list,
+    which fork workers inherit with the payload and which pickles as the
+    region (its slabs pickle far faster than the rects, and the warm-pool
+    key pickles the payload on every pooled service job); or — when the
+    scan is store-backed — a :class:`~repro.layout.store.StoreRects`
+    handle, which pickles as ``(path, offset, count)`` and answers
+    window queries straight from the mmapped store without ever
+    materializing the layer.  Both sources preserve canonical rect
+    order and the closed-touches window contract, so indexes, clips,
+    and digests are identical throughout.
     """
 
     __slots__ = ("_source", "cell_nm", "_index", "_buf", "_region")
@@ -117,7 +111,7 @@ class _ScanGeometry:
     def __init__(self, region: "Region | StoreLayer", cell_nm: int = 2048):
         self._region: Region | None = None
         if isinstance(region, StoreLayer):
-            self._source: list[Rect] | ShmRects | StoreRects = region.handle()
+            self._source: list[Rect] | StoreRects = region.handle()
         else:
             self._source = list(region.rects())
             self._region = region
@@ -128,32 +122,19 @@ class _ScanGeometry:
     @property
     def rects(self) -> list[Rect]:
         source = self._source
-        if isinstance(source, (ShmRects, StoreRects)):
+        if isinstance(source, StoreRects):
             return source.rects()
         return source
 
-    @property
-    def store_backed(self) -> bool:
-        return isinstance(self._source, StoreRects)
-
-    def shared(self, handle: ShmRects) -> "_ScanGeometry":
-        """Clone of this geometry backed by a shared-memory handle."""
-        clone = _ScanGeometry.__new__(_ScanGeometry)
-        clone._source = handle
-        clone.cell_nm = self.cell_nm
-        clone._index = None
-        clone._buf = []
-        clone._region = self._region
-        return clone
-
     def __getstate__(self):
-        return (self._source, self.cell_nm)
+        return (self._region if self._region is not None else self._source, self.cell_nm)
 
     def __setstate__(self, state):
-        self._source, self.cell_nm = state
+        source, self.cell_nm = state
+        self._region = source if isinstance(source, Region) else None
+        self._source = list(source.rects()) if isinstance(source, Region) else source
         self._index = None
         self._buf = []
-        self._region = None
 
     def near(self, window: Rect) -> list[Rect]:
         """Canonical rects whose bbox touches ``window`` (a shared
@@ -178,8 +159,7 @@ class _ScanGeometry:
 
         In RAM that is the clip itself: ``&`` bisects the region's slabs
         down to the window's x-extent, which costs less than an index
-        query plus a regrouping.  A geometry rebuilt from its rects (in
-        another process) regroups them into the region once.
+        query plus a regrouping.
 
         A store-backed geometry never materializes the layer: the
         store's window query returns the rects touching the window in
@@ -191,8 +171,6 @@ class _ScanGeometry:
         source = self._source
         if isinstance(source, StoreRects):
             return Region.from_canonical_rects(source.window(window)) & Region(window)
-        if self._region is None:
-            self._region = Region.from_canonical_rects(self.rects)
         return self._region & Region(window)
 
 
@@ -212,29 +190,6 @@ class _ScanPayload:
     pinch_limit: int | None
     grid: int | None
     halo_nm: int = 0
-
-
-def _share_payload(payload: _ScanPayload) -> SharedPayload | None:
-    """Repack a payload's rect lists into shared memory.
-
-    Only the small scalar state (model, process window, limits) then
-    travels over the pickle wire; the whole-chip geometry is mapped by
-    each worker from one shared block.  Returns ``None`` — caller ships
-    the payload pickled — when shared memory is unavailable.
-    """
-    geometries = [payload.drawn]
-    if payload.mask is not None:
-        geometries.append(payload.mask)
-    arena = ShmArena.pack([g.rects for g in geometries])
-    if arena is None:
-        return None
-    shared = [g.shared(h) for g, h in zip(geometries, arena.handles)]
-    inner = replace(
-        payload,
-        drawn=shared[0],
-        mask=shared[1] if payload.mask is not None else None,
-    )
-    return SharedPayload(inner, arena)
 
 
 def _scan_tile(payload: _ScanPayload, tile: Tile) -> tuple[list[Hotspot], float]:
@@ -367,16 +322,18 @@ def scan_full_chip(
     supply its own — typically persistent — :class:`TileExecutor`
     instead of a per-run one; its ``jobs`` takes precedence, and
     results and cache keys are byte-identical either way.  A pooled
-    in-RAM run packs its geometry into a shared-memory arena of its own,
-    which the executor unlinks when the run ends.
+    in-RAM run hands its payload to the pool as it is: on Linux the
+    workers fork from this process and inherit the geometry, and a
+    persistent executor reuses its warm workers for a payload that
+    pickles identically, such as an unchanged layout scanned again.
 
     ``drawn`` (and ``mask``) may be a
     :class:`~repro.layout.store.StoreLayer` instead of a region: the
     scan then runs out of core — workers mmap the layout store
-    read-only and window it per tile, no arena is packed (the payload
-    is already a constant-size handle), and hotspots, counters, and
-    tile-cache keys are bit-identical to the in-RAM path because the
-    store serves the same canonical rects and digests.
+    read-only and window it per tile (the payload is a constant-size
+    handle), and hotspots, counters, and tile-cache keys are
+    bit-identical to the in-RAM path because the store serves the same
+    canonical rects and digests.
     """
     t_start = time.perf_counter()
     report = FullChipScanReport()
@@ -434,27 +391,10 @@ def scan_full_chip(
                     owned_by_tile[tile.index] = hit
 
     with span("scan.compute"):
-        # only a pooled run pays the pickle wire; it then moves its
-        # geometry into shared memory so the per-worker payload stays
-        # constant-size as the chip grows.  Cache keys were already
-        # computed above from the in-process payload and are
-        # bit-identical either way.
         tile_executor = executor if executor is not None else TileExecutor(jobs)
-        exec_payload: _ScanPayload | SharedPayload = payload
-        store_backed = payload.drawn.store_backed and (
-            payload.mask is None or payload.mask.store_backed
-        )
-        if (
-            pending
-            and not store_backed  # store handles already pickle tiny
-            and (tile_executor.jobs > 1 or timeout is not None)
-        ):
-            shared = _share_payload(payload)
-            if shared is not None:
-                exec_payload = shared
         outcome = tile_executor.run(
             _scan_tile,
-            exec_payload,
+            payload,
             pending,
             keys=[t.index for t in pending],
             timeout=timeout,

@@ -33,9 +33,11 @@ POOL_RETRIES = "pool.retries"
 POOL_TIMEOUTS = "pool.timeouts"
 POOL_BISECTIONS = "pool.bisections"
 POOL_QUARANTINED = "pool.quarantined"
+# The pool initializer's payload, pickled: what a non-fork start sends
+# each worker (a fork start sends none of it).
 POOL_PAYLOAD_BYTES = "pool.payload_bytes"
-# Gauged (by repro.parallel.shm) when shared-memory transport is
-# unavailable and a run ships its payload pickled instead.
+# Gauged by repro.parallel.shm when it cannot pack an arena; the engines
+# no longer pack, so no run sets it.
 POOL_SHM_FALLBACK = "pool.shm_fallback"
 # Incremented when a persistent executor serves a run from its warm
 # worker pool instead of forking a fresh one (service mode).

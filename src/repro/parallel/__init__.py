@@ -11,11 +11,15 @@ The shared machinery behind the full-chip litho scan
   (including the extreme corner) has exactly one owning tile and tiled
   results are independent of the tiling.
 * :class:`TileExecutor` — deterministic chunked fan-out of tile work
-  over a ``multiprocessing`` pool.  Results are reassembled in tile
-  order, so a ``jobs=N`` run is byte-identical to ``jobs=1``.
-  :meth:`TileExecutor.run` adds the fault-tolerant contract: per-chunk
-  timeouts, bounded retry with exponential backoff, poison-tile
-  quarantine (:class:`QuarantinedTile`), and checkpoint/resume.
+  over a ``multiprocessing`` pool, whose workers fork on Linux and
+  inherit the payload from the parent's memory.  Results are
+  reassembled in tile order, so a ``jobs=N`` run is byte-identical to
+  ``jobs=1``.  :meth:`TileExecutor.run` adds the fault-tolerant
+  contract: chunks completed by event with one queued ahead per worker,
+  per-chunk timeouts counted from the chunk's start, bounded retry
+  with exponential backoff, a failed attempt for a chunk whose worker
+  died, poison-tile quarantine (:class:`QuarantinedTile`), and
+  checkpoint/resume.
 * :class:`ResultStore` / :class:`TileCache` — the one result store and
   the engines' handle on one of its namespaces.  Each tile's entry is
   keyed by a content hash (:meth:`repro.geometry.Region.digest`) of
@@ -35,12 +39,10 @@ The shared machinery behind the full-chip litho scan
   ``$REPRO_FAULT_SPEC``, so the retry/timeout/quarantine matrix is
   testable in CI.
 * :class:`ShmArena` / :class:`ShmRects` / :class:`SharedPayload` —
-  zero-copy payload transport: the engines pack their whole-chip rect
-  lists into one ``multiprocessing.shared_memory`` block per run, so
-  what crosses the pickle wire per worker is a constant-size handle
-  instead of the full geometry (``pool.payload_bytes`` stays flat as
-  the chip grows).  Hosts without shared memory fall back to the
-  pickled path with a ``pool.shm_fallback`` gauge.
+  a shared-memory rect transport that the engines no longer use: fork
+  workers inherit the payload, so nothing reads an arena.  The names
+  stay importable until the benchmark's ``parallel.share`` trace
+  target leaves them (ROADMAP item 1); the module goes after that.
 """
 
 from repro.parallel.cache import ResultStore, TileCache, digest_parts

@@ -2,10 +2,12 @@
 
 A thin deterministic fan-out layer over :mod:`multiprocessing`: the
 shared read-only payload (litho model, flattened layer regions, rule
-deck) is shipped to each worker exactly once via the pool initializer,
+deck) reaches each worker exactly once through the pool initializer,
 work items travel in contiguous chunks, and results come back flattened
 in submission order — so a parallel run produces byte-identical output
-to a serial one.
+to a serial one.  On Linux the pool is pinned to ``fork`` (Python 3.14
+makes ``forkserver`` the default), so workers inherit the payload from
+the parent's memory; elsewhere it is pickled once per worker.
 
 Workers are *processes*, not threads: the geometry kernel is pure
 Python, so threads would serialize on the GIL.  ``jobs <= 1`` (the
@@ -29,6 +31,13 @@ Two entry points:
   and deterministic fault injection via
   :class:`~repro.parallel.faults.FaultPlan`.
 
+:meth:`TileExecutor.run` completes chunks by event, not by polling,
+with one chunk queued ahead of each worker so that no worker waits on
+the parent between chunks.  The worker that starts a chunk stamps its
+pid and start time in a small shared array: a chunk's timeout clock
+starts when it starts, and a chunk whose worker died (OOM kill,
+SIGKILL) fails like any other attempt instead of hanging the run.
+
 Observability: when the parent's :class:`~repro.obs.MetricsRegistry` is
 enabled, workers enable their own process registry, reset it at each
 chunk boundary, and ship the chunk's metric snapshot back alongside the
@@ -41,16 +50,20 @@ additionally maintains ``pool.retries``, ``pool.timeouts``,
 
 from __future__ import annotations
 
+import itertools
 import logging
 import multiprocessing
+import multiprocessing.context
 import multiprocessing.pool
 import os
 import signal
+import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from queue import Empty, SimpleQueue
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.obs import get_registry, names
@@ -61,7 +74,6 @@ from repro.parallel.faults import (
     InjectedAbort,
     QuarantinedTile,
 )
-from repro.parallel.shm import SharedPayload
 
 log = logging.getLogger("repro.parallel")
 
@@ -78,15 +90,31 @@ _POOL_ERRORS = (OSError, ImportError, PermissionError)
 # every chunk boundary).
 _CHECKPOINT_FLUSH_EVERY = 8
 
-# Per-worker shared payload + fault plan, installed by the initializer.
+# How often, at least, the pooled fault-tolerant loop checks that each
+# running chunk's worker lives, and (with a cancel event) for a cancel.
+_LIVENESS_S = 0.25
+_CANCEL_CHECK_S = 0.05
+
+# Per-worker payload, fault plan and chunk stamp slots (the initializer's).
 _PAYLOAD: Any = None
 _FAULTS: FaultPlan | None = None
+_SLOTS: Any = None
+
+
+def _context() -> multiprocessing.context.BaseContext:
+    """``fork`` on Linux, so workers inherit the payload; else the default."""
+    if sys.platform.startswith("linux"):
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 def _init_worker(
-    payload: Any, obs_enabled: bool = False, faults: FaultPlan | None = None
+    payload: Any,
+    obs_enabled: bool = False,
+    faults: FaultPlan | None = None,
+    slots: Any = None,
 ) -> None:
-    global _PAYLOAD, _FAULTS
+    global _PAYLOAD, _FAULTS, _SLOTS
     # fork inherits whatever SIGTERM handler the parent installed (e.g.
     # the service daemon's graceful-shutdown trap); restore the default
     # so Pool.terminate() reliably kills workers instead of racing a
@@ -95,13 +123,9 @@ def _init_worker(
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):
         pass  # non-main thread or exotic platform; terminate() may lag
-    # spawn-style contexts pickle initargs, which already unwraps a
-    # SharedPayload via its __reduce__; fork inherits the object as-is,
-    # so unwrap here too — workers always see the engine's own payload
-    if isinstance(payload, SharedPayload):
-        payload = payload.inner
     _PAYLOAD = payload
     _FAULTS = faults
+    _SLOTS = slots
     _pin_worker()
     if obs_enabled:
         get_registry().enable()
@@ -168,14 +192,20 @@ def _run_chunk_ft(
     fn: Callable[[Any, Any], Any],
     chunk_id: int,
     chunk_attempt: int,
+    slot: int,
     entries: Sequence[tuple[Any, int, Any]],
 ) -> tuple[list[tuple[Any, Any]], dict | None]:
     """Fault-aware chunk body: ``entries`` is ``[(key, attempt, item)]``.
 
-    An item failure is wrapped in :class:`WorkerFailure` (carrying the
+    The worker first stamps its start time, then its pid (the parent
+    reads a slot with a pid as started), into the chunk's ``slot``.  An
+    item failure is wrapped in :class:`WorkerFailure` (carrying the
     failing key, so the parent can bisect straight to it); an injected
     abort propagates unchanged.
     """
+    if _SLOTS is not None:
+        _SLOTS[2 * slot + 1] = time.monotonic()
+        _SLOTS[2 * slot] = os.getpid()
     registry = get_registry()
     if registry.enabled:
         registry.reset()
@@ -242,6 +272,40 @@ class _Chunk:
     rank: int = 0
 
 
+@dataclass
+class _Workers:
+    """A worker pool and its stamp array: two doubles per in-flight
+    chunk, ``(pid, start)``, 0 until a worker starts the chunk."""
+
+    pool: multiprocessing.pool.Pool
+    slots: Any
+
+    def stamp(self, slot: int) -> tuple[int, float] | None:
+        """``(pid, start)`` of the chunk in ``slot``; None until started."""
+        pid = int(self.slots[2 * slot])
+        start = float(self.slots[2 * slot + 1])
+        return (pid, start) if pid and start else None
+
+
+def _post(events: SimpleQueue, token: int, ok: bool, value: Any) -> None:
+    """Pool callback (on the pool's result thread): one finished attempt."""
+    events.put((token, ok, value))
+
+
+def _gone(pid: int) -> bool:
+    """True once process ``pid`` is gone; a pool reaps a dead worker as
+    soon as its sentinel fires.  POSIX only: on Windows signal 0 would
+    deliver CTRL_C_EVENT."""
+    try:
+        if os.name == "posix":
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:  # e.g. EPERM: it exists
+        pass
+    return False
+
+
 class TileExecutor:
     """Deterministic chunked fan-out of ``fn(payload, item)`` calls.
 
@@ -251,8 +315,8 @@ class TileExecutor:
 
     One-shot by default: every ``map``/``run`` call stands its own pool
     up and tears it down.  ``persistent=True`` keeps the pool warm
-    between calls instead — a following call whose wire payload (and
-    fault plan) is byte-identical reuses the already-initialized
+    between calls instead — a following call whose payload (and fault
+    plan) pickles byte-identically reuses the already-initialized
     workers, which is what lets a long-lived verification service serve
     many requests against a resident layout without re-forking per
     request (counted by ``pool.warm_reuse``).  A persistent executor
@@ -277,7 +341,7 @@ class TileExecutor:
         self.chunk_size = chunk_size
         self.persistent = persistent
         self.cancel_event: threading.Event | None = None
-        self._pool: multiprocessing.pool.Pool | None = None
+        self._pool: _Workers | None = None
         self._pool_key: tuple[bytes, bool] | None = None
 
     # -- lifetime -------------------------------------------------------
@@ -287,10 +351,10 @@ class TileExecutor:
         One-shot executors never hold a pool between calls, so this is
         only needed (but is always safe) in ``persistent`` mode.
         """
-        pool, self._pool, self._pool_key = self._pool, None, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        workers, self._pool, self._pool_key = self._pool, None, None
+        if workers is not None:
+            workers.pool.terminate()
+            workers.pool.join()
 
     def __enter__(self) -> "TileExecutor":
         return self
@@ -324,15 +388,15 @@ class TileExecutor:
         faults: FaultPlan | None,
         workers: int,
         wire: bytes | None = None,
-    ) -> multiprocessing.pool.Pool:
+    ) -> _Workers:
         """Stand up a worker pool; raises ``_POOL_ERRORS`` when the host
         cannot (``multiprocessing.Pool`` spawns its workers eagerly, so
         construction failures surface here, not mid-run)."""
         registry = get_registry()
         if registry.enabled:
-            # the shared payload is pickled once per worker: track its
-            # wire size so payload regressions (e.g. shipping whole-chip
-            # geometry where an index would do) show up in the manifest
+            # the payload's pickled size: what a non-fork start sends each
+            # worker (a fork start sends none of it), so payload growth
+            # shows up in the manifest whichever start method runs
             try:
                 import pickle
 
@@ -346,15 +410,17 @@ class TileExecutor:
             # loudly, at submission time
             except Exception:  # repro-lint: disable=RL004
                 pass
-        return multiprocessing.get_context().Pool(
+        context = _context()
+        # two stamp slots per worker: a running chunk and one queued ahead
+        slots = context.RawArray("d", 4 * workers)
+        pool = context.Pool(
             processes=workers,
             initializer=_init_worker,
-            initargs=(payload, get_registry().enabled, faults),
+            initargs=(payload, registry.enabled, faults, slots),
         )
+        return _Workers(pool, slots)
 
-    def _obtain_pool(
-        self, payload: Any, faults: FaultPlan | None, workers: int
-    ) -> multiprocessing.pool.Pool:
+    def _obtain_pool(self, payload: Any, faults: FaultPlan | None, workers: int) -> _Workers:
         """A pool whose workers hold ``payload``: warm when possible.
 
         In persistent mode the pool is created at full ``jobs`` width
@@ -375,18 +441,18 @@ class TileExecutor:
         self._pool, self._pool_key = pool, key
         return pool
 
-    def _retire_pool(self, pool: multiprocessing.pool.Pool, broken: bool) -> None:
+    def _retire_pool(self, workers: _Workers, broken: bool) -> None:
         """Give a pool back after a call: keep it warm or tear it down.
 
         A ``broken`` pool (timeout kill, propagating failure — workers
         may be wedged mid-chunk) is never kept.
         """
-        if self.persistent and not broken and pool is self._pool:
+        if self.persistent and not broken and workers is self._pool:
             return
-        if pool is self._pool:
+        if workers is self._pool:
             self._pool, self._pool_key = None, None
-        pool.terminate()
-        pool.join()
+        workers.pool.terminate()
+        workers.pool.join()
 
     @staticmethod
     def _fallback(exc: BaseException) -> None:
@@ -411,38 +477,29 @@ class TileExecutor:
         ``fn`` mid-run propagates to the caller on every path.
         """
         work = list(items)
-        # a SharedPayload crosses the wire as its (small) inner payload;
-        # in-process execution uses the inner payload directly, and the
-        # executor owns the arena: the block is unlinked when we return
-        shared = payload if isinstance(payload, SharedPayload) else None
-        inner = shared.inner if shared is not None else payload
+        if self.jobs <= 1 or len(work) <= 1:
+            return [fn(payload, item) for item in work]
+        registry = get_registry()
+        chunk = self._resolve_chunk(len(work))
+        chunks = [work[i : i + chunk] for i in range(0, len(work), chunk)]
         try:
-            if self.jobs <= 1 or len(work) <= 1:
-                return [fn(inner, item) for item in work]
-            registry = get_registry()
-            chunk = self._resolve_chunk(len(work))
-            chunks = [work[i : i + chunk] for i in range(0, len(work), chunk)]
-            try:
-                pool = self._obtain_pool(payload, None, min(self.jobs, len(chunks)))
-            except _POOL_ERRORS as exc:
-                self._fallback(exc)
-                return [fn(inner, item) for item in work]
-            broken = True
-            try:
-                parts = pool.map(partial(_run_chunk, fn), chunks, chunksize=1)
-                broken = False
-            finally:
-                self._retire_pool(pool, broken)
-            # merge worker metric snapshots in submission order: counters and
-            # timers are order-independent, gauges become last-write-wins in
-            # the same order a serial run would have written them
-            for _, snapshot in parts:
-                if snapshot is not None:
-                    registry.merge(snapshot)
-            return [result for part, _ in parts for result in part]
+            workers = self._obtain_pool(payload, None, min(self.jobs, len(chunks)))
+        except _POOL_ERRORS as exc:
+            self._fallback(exc)
+            return [fn(payload, item) for item in work]
+        broken = True
+        try:
+            parts = workers.pool.map(partial(_run_chunk, fn), chunks, chunksize=1)
+            broken = False
         finally:
-            if shared is not None:
-                shared.arena.close()
+            self._retire_pool(workers, broken)
+        # merge worker metric snapshots in submission order: counters and
+        # timers are order-independent, gauges become last-write-wins in
+        # the same order a serial run would have written them
+        for _, snapshot in parts:
+            if snapshot is not None:
+                registry.merge(snapshot)
+        return [result for part, _ in parts for result in part]
 
     # -- fault-tolerant fan-out -----------------------------------------
     def run(
@@ -466,9 +523,11 @@ class TileExecutor:
         ``max_retries`` times with exponential backoff, then bisected
         down to the failing tile, which is quarantined (its result slot
         stays ``None``) instead of killing the run.  ``timeout`` bounds
-        each chunk attempt's wall time; a hung chunk's workers are killed
-        and the chunk is retried like any failure (timeouts need the
-        pool, so ``jobs=1`` with a timeout still runs one worker).
+        each chunk attempt's wall time from the moment a worker starts
+        it; a hung chunk's workers are killed and the chunk is retried
+        like any failure (timeouts need the pool, so ``jobs=1`` with a
+        timeout still runs one worker).  A chunk whose worker dies
+        mid-chunk fails the same way, with or without a timeout.
 
         ``fault_plan`` (or ``$REPRO_FAULT_SPEC``) injects deterministic
         failures for testing.  ``checkpoint`` (a handle on a store tied
@@ -503,11 +562,6 @@ class TileExecutor:
             max_retries=max_retries,
             backoff_s=backoff_s,
         )
-        # a SharedPayload ships its inner payload over the wire; its arena
-        # dies with the run — unlinked on success, abort and interrupt
-        # alike, and kept across timeout-driven pool re-creation
-        shared = payload if isinstance(payload, SharedPayload) else None
-        inner = shared.inner if shared is not None else payload
         try:
             if pending:
                 use_pool = self.jobs > 1 or timeout is not None
@@ -515,7 +569,7 @@ class TileExecutor:
                 if use_pool:
                     pooled = self._run_pooled(fn, payload, pending, timeout, state)
                 if not pooled:
-                    self._run_inline(fn, inner, pending, state)
+                    self._run_inline(fn, payload, pending, state)
         except InjectedAbort as exc:
             if checkpoint is not None:
                 checkpoint.flush()
@@ -526,9 +580,6 @@ class TileExecutor:
             if checkpoint is not None:
                 checkpoint.flush()
             raise
-        finally:
-            if shared is not None:
-                shared.arena.close()
         if checkpoint is not None:
             checkpoint.flush()
         outcome.results = [results.get(key) for key in item_keys]
@@ -587,7 +638,15 @@ class TileExecutor:
         timeout: float | None,
         state: "_RunState",
     ) -> bool:
-        """Pooled fault-tolerant path; False when no pool is available."""
+        """Pooled fault-tolerant path; False when no pool is available.
+
+        Each submission's callbacks post ``(token, ok, value)`` to one
+        queue, which the loop blocks on until the next event, the
+        nearest started chunk's deadline, the nearest retry backoff, or
+        the next liveness or cancel check.  Tokens are never reused, so
+        the event of an attempt already failed (its pool retired by a
+        timeout, or its worker found dead) is stale and dropped.
+        """
         chunk = self._resolve_chunk(len(pending))
         queue: deque[_Chunk] = deque()
         rank_of = {key: i for i, (key, _) in enumerate(pending)}
@@ -596,106 +655,115 @@ class TileExecutor:
             queue.append(_Chunk(len(queue), items, rank=rank_of[items[0][0]]))
         state.next_chunk_id = len(queue)
         state.rank_of = rank_of
-        workers = max(min(self.jobs, len(queue)), 1)
+        width = max(min(self.jobs, len(queue)), 1)
         try:
-            pool = self._obtain_pool(payload, state.faults, workers)
+            workers = self._obtain_pool(payload, state.faults, width)
         except _POOL_ERRORS as exc:
             self._fallback(exc)
             return False
 
-        # [chunk, AsyncResult, deadline] triples for in-flight chunks.
-        # Submission is throttled to the worker count so a chunk starts
-        # executing (and its timeout clock meaningfully begins) roughly
-        # when submitted.
-        active: list[list[Any]] = []
-        snapshots: list[tuple[int, dict]] = []
+        # one chunk running and one queued ahead per worker, so a worker
+        # that finishes takes its next chunk without waiting on the parent
+        capacity = 2 * width
+        events: SimpleQueue[tuple[int, bool, Any]] = SimpleQueue()
+        tokens = itertools.count()
+        # token -> (chunk, stamp slot) for chunks in flight, in submission order
+        flights: dict[int, tuple[_Chunk, int]] = {}
         broken = True
         try:
-            while queue or active:
+            while queue or flights:
                 if self._cancelled():
-                    # cooperative cancel between drain iterations: the
-                    # caller's except-path flushes the checkpoint, and
+                    # the caller's except-path flushes the checkpoint, and
                     # the (possibly mid-chunk) pool is retired as broken
                     raise AbortRun("run cancelled")
                 now = time.monotonic()
-                while queue and len(active) < workers:
+                busy = {slot for _, slot in flights.values()}
+                while queue and len(flights) < capacity:
                     eligible = next((c for c in queue if c.not_before <= now), None)
                     if eligible is None:
                         break
                     queue.remove(eligible)
+                    slot = next(s for s in range(capacity) if s not in busy)
+                    busy.add(slot)
+                    workers.slots[2 * slot] = workers.slots[2 * slot + 1] = 0.0
                     wire = []
                     for key, item in eligible.items:
                         attempt = state.execs.get(key, 0)
                         state.execs[key] = attempt + 1
                         wire.append((key, attempt, item))
-                    ar = pool.apply_async(
-                        _run_chunk_ft, (fn, eligible.id, eligible.attempt, wire)
+                    token = next(tokens)
+                    flights[token] = (eligible, slot)
+                    workers.pool.apply_async(
+                        _run_chunk_ft,
+                        (fn, eligible.id, eligible.attempt, slot, wire),
+                        callback=partial(_post, events, token, True),
+                        error_callback=partial(_post, events, token, False),
                     )
-                    # the deadline clock starts at actual submission, not
-                    # at the (possibly stale) top-of-loop timestamp
-                    deadline = (
-                        time.monotonic() + timeout if timeout is not None else None
-                    )
-                    active.append([eligible, ar, deadline])
-                progressed = False
-                for slot in list(active):
-                    chunk_obj, ar, deadline = slot
-                    if ar.ready():
-                        active.remove(slot)
-                        progressed = True
-                        try:
-                            part, snapshot = ar.get()
-                        except InjectedAbort:
-                            raise
-                        except WorkerFailure as exc:
-                            state.fail(chunk_obj, str(exc), queue, failing_key=exc.key)
-                        except Exception as exc:
-                            # worker died mid-chunk (OOM-kill, segfault):
-                            # same treatment as an in-chunk failure
-                            state.fail(
-                                chunk_obj, f"{type(exc).__name__}: {exc}", queue
-                            )
-                        else:
-                            for key, value in part:
-                                state.results[key] = value
-                                if state.checkpoint is not None:
-                                    state.checkpoint.put(key, value)
-                            if state.checkpoint is not None:
-                                state.checkpoint.flush()
-                            if snapshot is not None:
-                                snapshots.append((chunk_obj.rank, snapshot))
-                    elif deadline is not None and time.monotonic() > deadline:
-                        # hung chunk: kill every worker (the only way to
-                        # stop runaway C-level or sleeping code), requeue
-                        # innocents unpenalized, charge the hung chunk.
-                        # `time.monotonic()` is re-read here — the loop's
-                        # `now` predates submission and slow ar.get()
-                        # drains, so comparing against it could fire a
-                        # full drain-iteration late.
-                        progressed = True
-                        state.outcome.timeouts += 1
-                        self._retire_pool(pool, broken=True)
-                        for other in active:
-                            if other is not slot:
-                                # unpenalized also means the execution
-                                # ordinals bumped at submission are rolled
-                                # back: the tiles never ran, and fault
-                                # plans must see the same per-tile attempt
-                                # sequence a serial run produces
-                                for key, _ in other[0].items:
-                                    state.execs[key] -= 1
-                                other[0].not_before = 0.0
-                                queue.append(other[0])
-                        active.clear()
-                        state.fail(chunk_obj, f"timeout after {timeout:g}s", queue)
-                        pool = self._obtain_pool(payload, state.faults, workers)
-                        break
-                if not progressed:
-                    time.sleep(0.005)
+
+                waits: list[float] = []
+                if flights:
+                    waits.append(_LIVENESS_S)
+                if self.cancel_event is not None:
+                    waits.append(_CANCEL_CHECK_S)
+                if timeout is not None:
+                    for slot in busy:
+                        stamp = workers.stamp(slot)
+                        if stamp is not None:
+                            waits.append(stamp[1] + timeout - now)
+                if queue and len(flights) < capacity:
+                    waits.append(min(c.not_before for c in queue) - now)
+                event: tuple[int, bool, Any] | None
+                try:
+                    event = events.get(timeout=max(min(waits), 0.0) if waits else None)
+                except Empty:
+                    event = None
+                while event is not None:
+                    token, ok, value = event
+                    flight = flights.pop(token, None)
+                    if flight is not None:  # else stale: already failed
+                        state.settle(flight[0], ok, value, queue)
+                    try:
+                        event = events.get_nowait()
+                    except Empty:
+                        event = None
+
+                # the stamps of the chunks still running: a dead worker
+                # fails its chunk; an overdue chunk times out
+                now = time.monotonic()
+                hung = None
+                for token, (chunk_obj, slot) in list(flights.items()):
+                    stamp = workers.stamp(slot)
+                    if stamp is None:
+                        continue  # queued ahead, not started yet
+                    pid, start = stamp
+                    if _gone(pid):
+                        del flights[token]
+                        state.fail(chunk_obj, f"worker {pid} died mid-chunk", queue)
+                    elif hung is None and timeout is not None and now - start >= timeout:
+                        hung = token
+                if hung is not None:
+                    # hung chunk: kill every worker (the only way to stop
+                    # runaway C-level or sleeping code), requeue the
+                    # innocents unpenalized, charge the hung chunk
+                    hung_chunk = flights.pop(hung)[0]
+                    state.outcome.timeouts += 1
+                    self._retire_pool(workers, broken=True)
+                    for other, _slot in flights.values():
+                        # unpenalized: roll back the execution ordinals
+                        # bumped at submission, so fault plans see the
+                        # per-tile attempt sequence of a serial run
+                        for key, _item in other.items:
+                            state.execs[key] -= 1
+                        other.not_before = 0.0
+                        queue.append(other)
+                    flights.clear()
+                    state.fail(hung_chunk, f"timeout after {timeout:g}s", queue)
+                    if queue:
+                        workers = self._obtain_pool(payload, state.faults, width)
             broken = False
         finally:
-            self._retire_pool(pool, broken)
-        for _, snapshot in sorted(snapshots, key=lambda pair: pair[0]):
+            self._retire_pool(workers, broken)
+        for _, snapshot in sorted(state.snapshots, key=lambda pair: pair[0]):
             state.registry.merge(snapshot)
         return True
 
@@ -715,6 +783,28 @@ class _RunState:
     execs: dict[Any, int] = field(default_factory=dict)
     next_chunk_id: int = 0
     rank_of: dict[Any, int] = field(default_factory=dict)
+    # (rank, metric snapshot) of every pooled chunk that completed
+    snapshots: list[tuple[int, dict]] = field(default_factory=list)
+
+    def settle(self, chunk: _Chunk, ok: bool, value: Any, queue: deque) -> None:
+        """Apply one finished pooled chunk attempt: its results, or its
+        failure (an injected abort propagates)."""
+        if ok:
+            part, snapshot = value
+            for key, result in part:
+                self.results[key] = result
+                if self.checkpoint is not None:
+                    self.checkpoint.put(key, result)
+            if self.checkpoint is not None:
+                self.checkpoint.flush()
+            if snapshot is not None:
+                self.snapshots.append((chunk.rank, snapshot))
+        elif isinstance(value, InjectedAbort):
+            raise value
+        elif isinstance(value, WorkerFailure):
+            self.fail(chunk, str(value), queue, failing_key=value.key)
+        else:
+            self.fail(chunk, f"{type(value).__name__}: {value}", queue)
 
     def quarantine(self, key: Any, error: str, attempts: int) -> None:
         self.outcome.quarantined.append(QuarantinedTile(key, error, attempts))

@@ -1,14 +1,19 @@
-"""Zero-copy shared-memory transport for worker payload geometry.
+"""Shared-memory transport for worker payload geometry — unused.
 
-The tile executor ships its read-only payload to every worker through
-the pool initializer, and the bulk of that payload is flat rect lists —
-whole-chip geometry whose pickled size (the ``pool.payload_bytes``
-gauge) grows linearly with chip area.  This module moves those lists
-off the pickle wire: the parent packs every layer's rects into **one**
-:mod:`multiprocessing.shared_memory` block per run as int32 quads
+The engines no longer call this module.  Their pools fork on Linux, so
+workers inherit the payload from the parent's memory and never read an
+arena (a wrapped :func:`_attach` logged no call over pooled scans and
+DRC), while each process's first ``SharedMemory(create=True)`` started
+a resource-tracker interpreter beside the workers.  The module stays
+importable until the benchmark's ``parallel.share`` trace target,
+which resolves :meth:`ShmArena.pack`, is dropped (ROADMAP item 1); the
+module and its transport tests go after that.
+
+What it does: the parent packs every layer's rects into **one**
+:mod:`multiprocessing.shared_memory` block as int32 quads
 ``(x0, y0, x1, y1)``, and what crosses the process boundary is only a
 :class:`ShmRects` handle — ``(block name, offset, count)`` — so the
-wire payload stays constant-size however large the chip grows.
+pickled payload stays constant-size however large the chip grows.
 
 Workers reattach lazily: the first geometry query in a worker process
 maps the block, materializes the rects (plain Python ints, so all
@@ -17,15 +22,12 @@ spatial index the engine layers on top.  Rect order is preserved
 exactly, which is what keeps results and cache keys bit-identical to
 the pickled path.
 
-Lifecycle: the engine wraps its payload in :class:`SharedPayload` and
-hands it to the executor, which owns the arena from then on — the
-block is unlinked when the run finishes (success, quarantine, or
-abort), and pool re-creation after a chunk timeout reuses the same
-block.  When shared memory is unavailable (restricted sandboxes,
-hosts without ``/dev/shm``, ``REPRO_NO_SHM=1``) or a coordinate
-exceeds int32, :meth:`ShmArena.pack` degrades to ``None`` with a
-logged warning and the ``pool.shm_fallback`` gauge, and the caller
-ships the payload pickled exactly as before.
+Lifecycle: whoever packs an arena owns it and unlinks it with
+:meth:`ShmArena.close`; the tile executor no longer knows the
+:class:`SharedPayload` wrapper.  When shared memory is unavailable
+(restricted sandboxes, hosts without ``/dev/shm``, ``REPRO_NO_SHM=1``)
+or a coordinate exceeds int32, :meth:`ShmArena.pack` degrades to
+``None`` with a logged warning and the ``pool.shm_fallback`` gauge.
 """
 
 from __future__ import annotations
@@ -241,13 +243,11 @@ def _unwrap(inner: Any) -> Any:
 
 
 class SharedPayload:
-    """Executor-visible wrapper marking an shm-backed payload.
+    """Wrapper marking an shm-backed payload and the arena behind it.
 
-    Pickles as the inner payload alone, so workers receive the engine's
-    own payload object whose :class:`ShmRects` handles reattach lazily.
-    Passing a ``SharedPayload`` to :meth:`TileExecutor.run
-    <repro.parallel.TileExecutor.run>` (or ``map``) transfers ownership
-    of the arena: the executor unlinks the block when the run ends.
+    Pickles as the inner payload alone, so a process that unpickles it
+    receives the payload object whose :class:`ShmRects` handles reattach
+    lazily.  The arena stays the caller's to close.
     """
 
     __slots__ = ("inner", "arena")

@@ -418,7 +418,7 @@ class VerificationService:
         session = self.sessions.get(gds)
         tech = self._tech(node)
         # store-backed sessions serve windowed rects straight from the
-        # mmapped store file: no parse, no flatten, no arena — and the
+        # mmapped store file: no parse, no flatten — and the
         # tile cache keys are interchangeable with the in-RAM path.  An
         # in-RAM session flattens and scans its parsed cell exactly as
         # the one-shot CLI does.

@@ -4,9 +4,8 @@ The one-shot CLI parses the GDSII on *every* invocation.  A
 :class:`LayoutSession` parses it once and keeps the :class:`Layout` for
 the life of the session, so a verify request against a warm session
 starts from the parsed hierarchy.  Each request then flattens its
-layers and, on a pooled run, packs them into a run-owned shared-memory
-arena, exactly as ``repro scan`` and ``repro drc`` do; the executor
-unlinks that arena when the run ends.
+layers and hands them to the engines exactly as ``repro scan`` and
+``repro drc`` do; a pooled run's forked workers inherit them.
 
 Staleness is stat-based: :class:`SessionManager` re-stats the file per
 request and reloads when size or mtime changed — an edited layout gets

@@ -580,3 +580,60 @@ class TestReferenceGraph:
         path = tmp_path / "f.gds"
         path.write_bytes(_chain({"TOP": ["A", "B"], "A": ["B"], "B": []}))
         parse(path)
+
+
+class TestShortPayloads:
+    """A record too short for its values is a ``GdsFormatError`` naming
+    the record, from both parsers, never a bare ``IndexError``,
+    ``ValueError`` or ``struct.error``."""
+
+    @_parsers()
+    def test_empty_layer(self, tmp_path, parse):
+        from repro.gdsii import records as rec
+
+        body = [
+            rec.make_record(rec.LAYER, rec.DT_INT2),
+            rec.rec_int2(rec.DATATYPE, [0]),
+            rec.rec_int4(rec.XY, _RECT),
+        ]
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_element(rec.BOUNDARY, body)]))
+        with pytest.raises(GdsFormatError, match="^LAYER record has no value$"):
+            parse(path)
+
+    @_parsers()
+    @pytest.mark.parametrize(
+        "xy, size", [(_RECT[:9], 36), (None, 38)], ids=["nine-ints", "38-bytes"]
+    )
+    def test_xy_not_whole_int4_pairs(self, tmp_path, parse, xy, size):
+        from repro.gdsii import records as rec
+
+        payload = (
+            rec.rec_int4(rec.XY, xy)
+            if xy is not None
+            else rec.make_record(rec.XY, rec.DT_INT4, bytes(size))
+        )
+        body = [rec.rec_int2(rec.LAYER, [10]), rec.rec_int2(rec.DATATYPE, [0]), payload]
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_element(rec.BOUNDARY, body)]))
+        with pytest.raises(GdsFormatError, match=f"^XY record of {size} bytes is not int4 pairs$"):
+            parse(path)
+
+    @_parsers()
+    def test_colrow_with_one_value(self, tmp_path, parse):
+        path = tmp_path / "f.gds"
+        path.write_bytes(_library([_aref([2], [0, 0, 100, 0, 0, 10])]))
+        with pytest.raises(GdsFormatError, match="^COLROW record of 2 bytes, not 2 int2$"):
+            parse(path)
+
+    @_parsers()
+    def test_units_with_one_real(self, tmp_path, parse):
+        from repro.gdsii import records as rec
+
+        units = rec.rec_real8(rec.UNITS, [1e-3, 1e-9])
+        data = _library([_boundary(_RECT)])
+        assert data.count(units) == 1
+        path = tmp_path / "f.gds"
+        path.write_bytes(data.replace(units, rec.rec_real8(rec.UNITS, [1e-3])))
+        with pytest.raises(GdsFormatError, match="^UNITS record of 8 bytes, not 2 real8$"):
+            parse(path)

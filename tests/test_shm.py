@@ -1,11 +1,12 @@
-"""Zero-copy shared-memory payload transport.
+"""The shared-memory arena (``repro.parallel.shm``) and the engines
+that no longer use it.
 
-The tentpole contract: a pooled scan/DRC run that ships its geometry
-through ``multiprocessing.shared_memory`` produces bit-identical
-results and interchangeable tile-cache entries vs. the pickled-payload
-engine, its wire payload stays small, and hosts without shared memory
-degrade to the pickled path (``pool.shm_fallback``) with identical
-results.
+The arena's own contract still holds: packing preserves rect lists and
+order, handles reattach with plain ints, and hosts without shared
+memory degrade to ``None`` with the ``pool.shm_fallback`` gauge.  The
+engines hand their payload to fork workers as it is, so a pooled run
+with or without ``REPRO_NO_SHM`` produces bit-identical results and
+interchangeable tile-cache entries.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ class TestFallbacks:
     def test_scan_without_shared_memory_matches_serial(
         self, scan_setup, registry, monkeypatch
     ):
-        # a pooled scan on a host without shared memory must ship the
-        # payload pickled (gauging the fallback) and stay bit-identical
+        # a pooled scan on a host without shared memory stays
+        # bit-identical; it never tries to pack, so nothing is gauged
         tech, model, m1 = scan_setup
         limit = tech.metal_width // 2
         serial = scan_full_chip(model, m1, tile_nm=1500, pinch_limit=limit, jobs=1)
@@ -125,7 +126,7 @@ class TestFallbacks:
         pooled = scan_full_chip(model, m1, tile_nm=1500, pinch_limit=limit, jobs=2)
         assert pooled.hotspots == serial.hotspots
         assert pooled.tiles == serial.tiles
-        assert registry.gauge_value(names.POOL_SHM_FALLBACK) == 1
+        assert registry.gauge_value(names.POOL_SHM_FALLBACK) is None
 
 
 class TestScanEquivalence:
@@ -163,23 +164,6 @@ class TestScanEquivalence:
         assert second.tiles_computed == 0
         assert second.cache_hit_rate == 1.0
         assert second.hotspots == first.hotspots
-
-    def test_wire_payload_is_smaller_with_shm(self, scan_setup, registry):
-        tech, model, m1 = scan_setup
-        limit = tech.metal_width // 2
-        scan_full_chip(model, m1, tile_nm=1500, pinch_limit=limit, jobs=2)
-        shm_bytes = registry.gauge_value(names.POOL_PAYLOAD_BYTES)
-        registry.reset()
-        import os
-
-        os.environ[shm_mod.ENV_DISABLE] = "1"
-        try:
-            scan_full_chip(model, m1, tile_nm=1500, pinch_limit=limit, jobs=2)
-        finally:
-            del os.environ[shm_mod.ENV_DISABLE]
-        pickled_bytes = registry.gauge_value(names.POOL_PAYLOAD_BYTES)
-        assert shm_bytes is not None and pickled_bytes is not None
-        assert shm_bytes < pickled_bytes
 
 
 class TestDrcEquivalence:
