@@ -117,7 +117,7 @@ def scan_full_chip(
     tile_nm: int = 4000,
     process: "ProcessWindow | None" = None,
     pinch_limit: int | None = None,
-    mask: "Region | None" = None,
+    mask: "Region | StoreLayer | None" = None,
     grid: int | None = None,
     overlap_nm: int = 200,
     jobs: int = 1,
@@ -142,9 +142,10 @@ def scan_full_chip(
     worker pool is reused across calls; results are identical either
     way.
 
-    ``drawn`` also accepts a :class:`~repro.layout.store.StoreLayer`
-    (one layer of an :func:`ingest_store` store): the scan then runs
-    out-of-core — workers mmap the store read-only and window each
+    ``drawn`` and ``mask`` also accept a
+    :class:`~repro.layout.store.StoreLayer` (one layer of an
+    :func:`ingest_store` store, absent layers included): the scan then
+    runs out-of-core — workers mmap the store read-only and window each
     tile's rects on demand — with bit-identical hotspots and cache
     keys.
     """

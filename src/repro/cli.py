@@ -281,19 +281,15 @@ def cmd_scan(args) -> int:
     tech = make_node(args.node)
     layer = _resolve_layer(tech, args.layer)
     if args.store:
-        store = _open_store(args)
-        store_layer = store.layer_for(layer)
-        # an empty layer has no rect runs to window; its (empty) region
-        # scans identically through the in-RAM path
-        region = store_layer if not store_layer.is_empty else store_layer.region()
+        drawn = _open_store(args).layer_for(layer)
     else:
         layout = read_gds(args.gds)
         cell = _resolve_cell(layout, args.cell)
-        region = cell.region(layer)
+        drawn = cell.region(layer)
     cache = _load_cache(args)
     report = api.scan_full_chip(
         tech,
-        region,
+        drawn,
         extent=_parse_extent(args.extent),
         tile_nm=args.tile,
         pinch_limit=tech.metal_width // 2,

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.drc import checks
 from repro.drc.violations import DrcReport, Violation
 from repro.geometry import Rect, Region
 from repro.layout import Cell, Layer
-from repro.layout.store import StoreRects, StoreView
+from repro.layout.store import StoreLayer, StoreView
 from repro.obs import get_registry, names, span
 from repro.parallel import (
     FaultPlan,
@@ -57,7 +57,6 @@ from repro.tech.rules import (
 _LOCAL_KINDS = (WidthRule, SpacingRule, ExtensionRule)
 
 _EMPTY = Region()
-_EMPTY_DIGEST = _EMPTY.digest()
 
 
 def _rule_layers(rule: Rule) -> list[Layer]:
@@ -137,33 +136,32 @@ def run_drc(
     results and cache keys byte-identical either way.
 
     ``store`` runs the deck against an out-of-core layout store instead
-    of flattening ``cell`` (which may then be ``None``): tile tasks
-    window their rects straight out of the mmapped file, workers get
-    ``(path, offset, count)`` handles instead of geometry, and the
-    report, cache keys and checkpoint signature stay bit-identical to
-    the in-RAM run over the same layout.
+    of flattening ``cell`` (which may then be ``None``): each layer is
+    a :class:`~repro.layout.store.StoreLayer`, tile tasks window their
+    rects straight out of the mmapped file, workers get the layers as
+    file handles instead of geometry, and the report, cache keys and
+    checkpoint signature stay bit-identical to the in-RAM run over the
+    same layout.  With a ``window``, each layer is clipped once, up
+    front, as the in-RAM flatten clips it.
     """
     if cell is None and store is None:
         raise ValueError("run_drc needs a cell or a store")
     layers_needed: set[Layer] = set()
     for rule in deck:
         layers_needed.update(_rule_layers(rule))
-    regions: "dict[Layer, Region] | _StoreLayerRegions"
-    if store is not None:
-        store_regions = _StoreLayerRegions.from_view(store, layers_needed)
-        if window is None:
-            # no up-front flatten: tile tasks window rects straight out
-            # of the store; global rules materialize their layers lazily
-            regions = store_regions
-        else:
-            with span("drc.flatten"):
-                regions = {
-                    layer: store_regions.clipped(layer, window)
-                    for layer in layers_needed
-                }
-    else:
+    regions: "Mapping[Layer, Region | StoreLayer]"
+    if store is None:
         with span("drc.flatten"):
             regions = cell.regions(layers_needed, window)
+    elif window is None:
+        # no up-front flatten: tile tasks window rects straight out of
+        # the store; global rules materialize their layers on first use
+        regions = {layer: store.layer_for(layer) for layer in layers_needed}
+    else:
+        with span("drc.flatten"):
+            regions = {
+                layer: store.layer_for(layer).clipped(window) for layer in layers_needed
+            }
     if window is not None:
         extent = window
     else:
@@ -208,138 +206,44 @@ def run_drc(
 
 
 def run_drc_regions(
-    regions: "dict[Layer, Region] | _StoreLayerRegions",
+    regions: "Mapping[Layer, Region | StoreLayer]",
     deck: RuleDeck,
     extent: Rect,
 ) -> DrcReport:
-    """Run a deck against pre-extracted per-layer regions (single pass)."""
+    """Run a deck against per-layer regions or store layers (single
+    pass); a store layer is materialized once, on first use."""
     report = DrcReport(rules_run=len(deck))
 
     def get(layer: Layer) -> Region:
-        return regions.get(layer, _EMPTY)
+        return _whole(regions.get(layer, _EMPTY))
 
     for rule in deck:
         report.extend(_check_rule(rule, get, extent))
     return report
 
 
-class _StoreLayerRegions:
-    """Layer→Region mapping backed by an out-of-core layout store.
-
-    It stands in for the plain per-layer dict on store-backed runs: it
-    pickles as ``{layer: StoreRects}`` handles (three scalars each) plus
-    the per-layer digests recorded at ingest, and workers mmap the store
-    read-only.  Tile tasks go through :meth:`clipped`, which
-    materializes only the rects whose bbox touches the tile window — a
-    worker's resident geometry is bounded by its tile, not the chip.
-    ``get`` (full materialization) is kept for global rules and the
-    single-pass engine.
-
-    Digests come from the store directory, where they were computed
-    slab-by-slab during ingest with the exact ``Region.digest()``
-    packing — cache keys and checkpoint signatures are interchangeable
-    with the in-RAM path.
-    """
-
-    __slots__ = ("_handles", "_digests", "_regions")
-
-    def __init__(
-        self, handles: dict[Layer, StoreRects], digests: dict[Layer, str]
-    ) -> None:
-        self._handles = handles
-        self._digests = digests
-        self._regions: dict[Layer, Region] = {}
-
-    @classmethod
-    def from_view(cls, view: StoreView, layers: "set[Layer]") -> "_StoreLayerRegions":
-        handles: dict[Layer, StoreRects] = {}
-        digests: dict[Layer, str] = {}
-        for layer in layers:
-            store_layer = view.layer_for(layer)
-            digests[layer] = store_layer.digest()
-            if not store_layer.is_empty:
-                handles[layer] = store_layer.handle()
-        return cls(handles, digests)
-
-    def __getstate__(self) -> tuple[dict[Layer, StoreRects], dict[Layer, str]]:
-        return (self._handles, self._digests)
-
-    def __setstate__(
-        self, state: tuple[dict[Layer, StoreRects], dict[Layer, str]]
-    ) -> None:
-        self._handles, self._digests = state
-        self._regions = {}
-
-    def get(self, layer: Layer, default: Region | None = None) -> Region | None:
-        region = self._regions.get(layer)
-        if region is None:
-            handle = self._handles.get(layer)
-            if handle is None:
-                return default if layer not in self._digests else _EMPTY
-            region = Region.from_canonical_rects(handle.rects())
-            self._regions[layer] = region
-        return region
-
-    def clipped(self, layer: Layer, window: Rect) -> Region:
-        """``full_layer & Region(window)`` from windowed candidates only.
-
-        Exact: canonical rects not touching the window contribute
-        nothing to the intersection, and the candidates arrive in
-        canonical order, so the clipped region (hence its digest) is
-        bit-identical to intersecting the materialized layer.
-        """
-        handle = self._handles.get(layer)
-        if handle is None:
-            return _EMPTY
-        local = Region.from_canonical_rects(handle.window(window))
-        return local & Region(window)
-
-    def digest(self, layer: Layer) -> str:
-        """``Region.digest()`` of the full layer, from the directory."""
-        return self._digests.get(layer, _EMPTY_DIGEST)
-
-    def signature_items(self) -> tuple[tuple[Layer, str], ...]:
-        """(layer, digest) pairs in the checkpoint-signature order."""
-        return tuple(
-            (layer, self._digests[layer])
-            for layer in sorted(self._digests, key=repr)
-        )
+def _whole(layer: "Region | StoreLayer") -> Region:
+    """The whole layer as a region (a store layer's memoized one)."""
+    return layer.region() if isinstance(layer, StoreLayer) else layer
 
 
-def _clip_layer(
-    regions: "dict[Layer, Region] | _StoreLayerRegions",
-    layer: Layer,
-    window: Rect,
-) -> Region:
-    """One layer clipped to a tile window, whatever backs the mapping."""
-    if isinstance(regions, _StoreLayerRegions):
-        return regions.clipped(layer, window)
-    return regions.get(layer, _EMPTY) & Region(window)
-
-
-def _layer_digest(
-    regions: "dict[Layer, Region] | _StoreLayerRegions",
-    layer: Layer,
-) -> str:
-    """Full-layer digest without materializing store-backed layers."""
-    if isinstance(regions, _StoreLayerRegions):
-        return regions.digest(layer)
-    region = regions.get(layer, _EMPTY)
-    return region.digest()
+def _clipped(layer: "Region | StoreLayer", window: Rect) -> Region:
+    """``layer & Region(window)``; a store layer clips from its window
+    query without materializing the layer."""
+    return layer.clipped(window) if isinstance(layer, StoreLayer) else layer & Region(window)
 
 
 @dataclass(frozen=True)
 class _DrcPayload:
     """Read-only per-run state handed to each worker once.
 
-    ``regions`` is either the plain per-layer dict, which fork workers
-    inherit from the parent, or a :class:`_StoreLayerRegions` mapping
-    (store-backed runs) that serves windowed clips straight from the
-    mmapped layout store.  Both expose the same ``get`` access the
-    tasks use.
+    ``regions`` maps each layer the deck reads to its region, which
+    fork workers inherit from the parent, or (store-backed runs) to its
+    :class:`~repro.layout.store.StoreLayer`, which pickles as a file
+    handle and serves windowed clips straight from the mmapped store.
     """
 
-    regions: "dict[Layer, Region] | _StoreLayerRegions"
+    regions: "Mapping[Layer, Region | StoreLayer]"
     local_rules: tuple[Rule, ...]
     global_rules: tuple[Rule, ...]
     extent: Rect
@@ -360,7 +264,7 @@ def _drc_task(payload: _DrcPayload, task: _Task) -> tuple[list[Violation], float
 
         def get(layer: Layer) -> Region:
             if layer not in clipped:
-                clipped[layer] = _clip_layer(payload.regions, layer, tile.window)
+                clipped[layer] = _clipped(payload.regions.get(layer, _EMPTY), tile.window)
             return clipped[layer]
 
         found: list[Violation] = []
@@ -370,7 +274,7 @@ def _drc_task(payload: _DrcPayload, task: _Task) -> tuple[list[Violation], float
     else:
         rule = payload.global_rules[obj]
         out = _check_rule(
-            rule, lambda layer: payload.regions.get(layer, _EMPTY), payload.extent
+            rule, lambda layer: _whole(payload.regions.get(layer, _EMPTY)), payload.extent
         )
     seconds = time.perf_counter() - t0
     registry.inc(names.drc_task(tag))
@@ -396,7 +300,7 @@ def _task_key(payload: _DrcPayload, task: _Task) -> str:
             tile.x_edge,
             tile.y_edge,
             tuple(
-                _clip_layer(payload.regions, l, tile.window).digest()
+                _clipped(payload.regions.get(l, _EMPTY), tile.window).digest()
                 for l in layers
             ),
         )
@@ -405,12 +309,12 @@ def _task_key(payload: _DrcPayload, task: _Task) -> str:
         "drc-rule-v1",
         repr(rule),
         payload.extent.as_tuple(),
-        tuple(_layer_digest(payload.regions, l) for l in _rule_layers(rule)),
+        tuple(payload.regions.get(l, _EMPTY).digest() for l in _rule_layers(rule)),
     )
 
 
 def run_drc_tiled(
-    regions: "dict[Layer, Region] | _StoreLayerRegions",
+    regions: "Mapping[Layer, Region | StoreLayer]",
     deck: RuleDeck,
     extent: Rect,
     *,
@@ -439,7 +343,7 @@ def run_drc_tiled(
 
     A pooled run hands its payload to the pool as it is: on Linux the
     workers fork from this process and inherit in-RAM regions, and
-    store-backed regions pickle as file handles.
+    store layers pickle as file handles.
     """
     t_start = time.perf_counter()
     local = tuple(r for r in deck if isinstance(r, _LOCAL_KINDS))
@@ -470,19 +374,15 @@ def run_drc_tiled(
 
     checkpoint: TileCache | None = None
     if checkpoint_file is not None:
-        if isinstance(regions, _StoreLayerRegions):
-            digest_items = regions.signature_items()
-        else:
-            digest_items = tuple(
-                (layer, region.digest())
-                for layer, region in sorted(regions.items(), key=lambda kv: repr(kv[0]))
-            )
         signature = digest_parts(
             "drc-ckpt-v1",
             tuple(repr(r) for r in deck),
             extent.as_tuple(),
             tile_nm,
-            digest_items,
+            tuple(
+                (layer, region.digest())
+                for layer, region in sorted(regions.items(), key=lambda kv: repr(kv[0]))
+            ),
         )
         checkpoint = open_checkpoint(checkpoint_file, signature, resume=resume)
 

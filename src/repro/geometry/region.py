@@ -277,9 +277,9 @@ class Region:
 
         ``rects`` must be exactly what :meth:`rects` produced (the
         order ships rects slab by slab, y-sorted within each slab), as
-        preserved by serialization paths like
-        :class:`repro.parallel.shm.ShmRects`.  Rebuilding is then pure
-        regrouping — no sweep — and bit-identical: canonical rects
+        the out-of-core layout store serves them
+        (:class:`repro.layout.store.StoreLayer`).  Rebuilding is then
+        pure regrouping — no sweep — and bit-identical: canonical rects
         sharing an x-range are one slab's y-intervals.
         """
         slabs: list[Slab] = []

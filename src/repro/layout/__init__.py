@@ -11,7 +11,6 @@ __all__ = [
     "Layout",
     "StoreView",
     "StoreLayer",
-    "StoreRects",
     "ensure_store",
     "ingest",
     "open_store",

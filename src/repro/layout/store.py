@@ -43,10 +43,12 @@ the window.  The candidate set is exactly the set of rects whose
 closed bbox touches the window — the same contract as
 ``GridIndex.query`` — so the pooled engines see identical geometry.
 
-Workers reattach with :class:`StoreRects`, which pickles as
-``(path, offset, count)``: the payload for a billion-rect layer is a
-few dozen bytes, and the kernel page cache shares the backing pages
-between every worker on the host.
+A :class:`StoreLayer` is its own worker handle: it pickles as the
+store's path, the layer key and the layer's digest, so the payload for
+a billion-rect layer is a path and a few scalars, and the kernel page
+cache shares the backing pages between every worker on the host.  A
+layer unpickled against a store re-ingested since with other geometry
+for it is refused with :class:`LayoutStoreError`.
 """
 
 from __future__ import annotations
@@ -422,7 +424,7 @@ def ingest(
 
 
 # ---------------------------------------------------------------------------
-# reading: mmap view, window queries, picklable handles
+# reading: mmap view, window queries, picklable layers
 # ---------------------------------------------------------------------------
 
 
@@ -431,15 +433,25 @@ class StoreLayer:
 
     Duck-types the slice of :class:`~repro.geometry.Region` the engines
     consume — ``bbox``, ``digest()``, ``rects()`` — plus the windowed
-    candidate query the in-RAM path answers with ``GridIndex``.
+    candidate query the in-RAM path answers with ``GridIndex`` and the
+    exact windowed clip.  It pickles as ``(path, key, digest)``, absent
+    layers too: a worker maps the store itself, and a layer whose
+    geometry changed since it was pickled (the store was re-ingested)
+    is refused instead of read.  Because the digest is on the wire, a
+    persistent pool never serves a layer re-ingested with other geometry
+    from workers that still map the old file.
     """
 
-    __slots__ = ("view", "key", "entry")
+    __slots__ = ("view", "key", "entry", "_region")
 
     def __init__(self, view: "StoreView", key: LayerKey, entry: dict | None) -> None:
         self.view = view
         self.key = key
         self.entry = entry
+        self._region: Region | None = None
+
+    def __reduce__(self):
+        return (_load_layer, (self.view.path, self.key, bytes.fromhex(self.digest())))
 
     @property
     def count(self) -> int:
@@ -461,12 +473,6 @@ class StoreLayer:
             return _EMPTY_DIGEST
         return self.entry["digest"]
 
-    def handle(self) -> "StoreRects":
-        """Picklable ``(path, offset, count)`` handle for workers."""
-        if self.entry is None:
-            raise LayoutStoreError(f"layer {self.key} is empty in {self.view.path}")
-        return StoreRects(self.view.path, self.entry["offset"], self.entry["count"])
-
     def rects(self) -> list[Rect]:
         """Every canonical rect, in ``Region.rects()`` order."""
         if self.entry is None:
@@ -479,8 +485,21 @@ class StoreLayer:
         ]
 
     def region(self) -> Region:
-        """The layer materialized as an in-RAM canonical region."""
-        return Region.from_canonical_rects(self.rects())
+        """The layer materialized as an in-RAM canonical region, built
+        on first use and kept: rules sharing a layer read it once."""
+        if self._region is None:
+            self._region = Region.from_canonical_rects(self.rects())
+        return self._region
+
+    def clipped(self, window: Rect) -> Region:
+        """``self.region() & Region(window)``, without materializing the
+        layer: only the window query's rects are read.
+
+        Exact: canonical rects not touching the window contribute
+        nothing to the clip, and the candidates arrive in canonical
+        order, so the clip (hence its digest) is bit-identical.
+        """
+        return Region.from_canonical_rects(self.window(window)) & Region(window)
 
     def window(self, window: Rect) -> list[Rect]:
         """Canonical rects whose closed bbox touches ``window``.
@@ -573,9 +592,6 @@ class StoreView:
         self._layers: dict[LayerKey, dict] = {
             (e["layer"], e["datatype"]): e for e in self.meta.get("layers", ())
         }
-        self._by_offset: dict[int, dict] = {
-            e["offset"]: e for e in self._layers.values()
-        }
 
     # -- metadata -------------------------------------------------------
     @property
@@ -619,23 +635,14 @@ class StoreView:
         """The store layer for a :class:`repro.layout.Layer`."""
         return self.layer(layer.gds_layer, layer.gds_datatype)
 
-    def _layer_at(self, offset: int, count: int) -> StoreLayer:
-        entry = self._by_offset.get(offset)
-        if entry is None or entry["count"] != count:
-            raise LayoutStoreError(
-                f"no layer at offset {offset} (x{count}) in {self.path}; "
-                "store was rewritten since the handle was made"
-            )
-        return StoreLayer(self, (entry["layer"], entry["datatype"]), entry)
-
     def close(self) -> None:
         """Release the mapping (views handed out become invalid)."""
         self.data.release()
         self._mm.close()
 
 
-# Per-process cache of mapped views, keyed by absolute path: workers
-# resolving StoreRects handles share one mapping per store file.
+# Per-process cache of mapped views, keyed by absolute path: layers
+# unpickled in one worker share one mapping per store file.
 _VIEWS: dict[str, StoreView] = {}
 
 
@@ -694,45 +701,12 @@ def ensure_store(
     return ingest(gds_path, store_path, cell=cell)
 
 
-class StoreRects:
-    """Picklable handle to one store layer: ``(path, offset, count)``.
-
-    Unpickling costs three scalars on the wire, and resolution mmaps
-    (or reuses) the store read-only — no geometry ever crosses the
-    pipe.
-    """
-
-    __slots__ = ("path", "offset", "count", "_layer")
-
-    def __init__(self, path: str, offset: int, count: int) -> None:
-        self.path = path
-        self.offset = offset
-        self.count = count
-        self._layer: StoreLayer | None = None
-
-    def __getstate__(self) -> tuple[str, int, int]:
-        return (self.path, self.offset, self.count)
-
-    def __setstate__(self, state: tuple[str, int, int]) -> None:
-        self.path, self.offset, self.count = state
-        self._layer = None
-
-    def _resolve(self) -> StoreLayer:
-        if self._layer is None:
-            self._layer = open_store(self.path)._layer_at(self.offset, self.count)
-        return self._layer
-
-    def rects(self) -> list[Rect]:
-        return self._resolve().rects()
-
-    def window(self, window: Rect) -> list[Rect]:
-        return self._resolve().window(window)
-
-    def digest(self) -> str:
-        return self._resolve().digest()
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:
-        return f"StoreRects({self.path!r}, offset={self.offset}, count={self.count})"
+def _load_layer(path: str, key: LayerKey, digest: bytes) -> StoreLayer:
+    """Unpickle a :class:`StoreLayer`, refusing one whose store was
+    rewritten with other geometry for the layer since it was pickled."""
+    layer = open_store(path).layer(*key)
+    if bytes.fromhex(layer.digest()) != digest:
+        raise LayoutStoreError(
+            f"layer {key} of {path} changed since it was pickled; store was rewritten"
+        )
+    return layer

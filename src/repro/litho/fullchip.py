@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.core.report import BaseReport
 from repro.geometry import GridIndex, Rect, Region
-from repro.layout.store import StoreLayer, StoreRects
+from repro.layout.store import StoreLayer
 from repro.litho.hotspots import Hotspot, _merge_across_corners, find_hotspots
 from repro.litho.model import LithoModel
 from repro.litho.process import ProcessWindow
@@ -88,69 +88,46 @@ class FullChipScanReport(BaseReport):
 
 
 class _ScanGeometry:
-    """One layer's canonical rects plus a lazily-built spatial index.
+    """One layer plus, in RAM, a lazily-built spatial index of its rects.
 
-    Each tile's simulation queries the index (its grid buckets built on
-    first use in each process), so it touches only the geometry near the
-    tile; the tile-key clips use the region itself.
+    Each tile's simulation asks for the rects near it (:meth:`near`), so
+    it touches only the geometry near the tile; the tile-key clips come
+    from :meth:`clipped`.
 
-    The rect source is one of two shapes: the region's flat rect list,
-    which fork workers inherit with the payload and which pickles as the
-    region (its slabs pickle far faster than the rects, and the warm-pool
-    key pickles the payload on every pooled service job); or — when the
-    scan is store-backed — a :class:`~repro.layout.store.StoreRects`
-    handle, which pickles as ``(path, offset, count)`` and answers
-    window queries straight from the mmapped store without ever
-    materializing the layer.  Both sources preserve canonical rect
-    order and the closed-touches window contract, so indexes, clips,
-    and digests are identical throughout.
+    The layer is a region, which fork workers inherit with the payload
+    and whose index each process builds on first use; or — when the scan
+    is store-backed — a :class:`~repro.layout.store.StoreLayer`, which
+    pickles as a handle on the mmapped store and answers both queries
+    from it without materializing the layer.  Both keep canonical rect
+    order and the closed-touches window contract, so clips and digests
+    are identical throughout.
     """
 
-    __slots__ = ("_source", "cell_nm", "_index", "_buf", "_region")
+    __slots__ = ("layer", "cell_nm", "_index", "_buf")
 
-    def __init__(self, region: "Region | StoreLayer", cell_nm: int = 2048):
-        self._region: Region | None = None
-        if isinstance(region, StoreLayer):
-            self._source: list[Rect] | StoreRects = region.handle()
-        else:
-            self._source = list(region.rects())
-            self._region = region
+    def __init__(self, layer: "Region | StoreLayer", cell_nm: int = 2048):
+        self.layer = layer
         self.cell_nm = cell_nm
         self._index: GridIndex[Rect] | None = None
         self._buf: list[Rect] = []
 
-    @property
-    def rects(self) -> list[Rect]:
-        source = self._source
-        if isinstance(source, StoreRects):
-            return source.rects()
-        return source
-
     def __getstate__(self):
-        return (self._region if self._region is not None else self._source, self.cell_nm)
+        return (self.layer, self.cell_nm)
 
     def __setstate__(self, state):
-        source, self.cell_nm = state
-        self._region = source if isinstance(source, Region) else None
-        self._source = list(source.rects()) if isinstance(source, Region) else source
+        self.layer, self.cell_nm = state
         self._index = None
         self._buf = []
 
     def near(self, window: Rect) -> list[Rect]:
-        """Canonical rects whose bbox touches ``window`` (a shared
-        buffer, valid until the next call in this process).
-
-        A store-backed source answers from the mmapped file's sorted
-        runs instead of building an index: the candidate set is the
-        same (both apply the closed-touches contract), so counters,
-        clips, and digests downstream are unchanged.
-        """
-        source = self._source
-        if isinstance(source, StoreRects):
-            return source.window(window)
+        """Canonical rects whose bbox touches ``window`` (in RAM a shared
+        buffer, valid until the next call in this process)."""
+        layer = self.layer
+        if isinstance(layer, StoreLayer):
+            return layer.window(window)
         if self._index is None:
             self._index = GridIndex(cell_size=self.cell_nm)
-            for r in self.rects:
+            for r in layer.rects():
                 self._index.insert(r, r)
         return self._index.query_into(window, self._buf)
 
@@ -159,19 +136,14 @@ class _ScanGeometry:
 
         In RAM that is the clip itself: ``&`` bisects the region's slabs
         down to the window's x-extent, which costs less than an index
-        query plus a regrouping.
-
-        A store-backed geometry never materializes the layer: the
-        store's window query returns the rects touching the window in
-        canonical order, so they regroup into a region straight away.
-        Exact, since canonical rects are disjoint and those not touching
-        the window contribute nothing to the clip: the point set, hence
-        the canonical form and digest, is the whole-chip clip's.
+        query plus a regrouping.  A store layer clips from its window
+        query (:meth:`StoreLayer.clipped
+        <repro.layout.store.StoreLayer.clipped>`), exactly.
         """
-        source = self._source
-        if isinstance(source, StoreRects):
-            return Region.from_canonical_rects(source.window(window)) & Region(window)
-        return self._region & Region(window)
+        layer = self.layer
+        if isinstance(layer, StoreLayer):
+            return layer.clipped(window)
+        return layer & Region(window)
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,12 +300,12 @@ def scan_full_chip(
     pickles identically, such as an unchanged layout scanned again.
 
     ``drawn`` (and ``mask``) may be a
-    :class:`~repro.layout.store.StoreLayer` instead of a region: the
-    scan then runs out of core — workers mmap the layout store
-    read-only and window it per tile (the payload is a constant-size
-    handle), and hotspots, counters, and tile-cache keys are
-    bit-identical to the in-RAM path because the store serves the same
-    canonical rects and digests.
+    :class:`~repro.layout.store.StoreLayer` instead of a region, absent
+    layers included: the scan then runs out of core — workers mmap the
+    layout store read-only and window it per tile (the layer pickles as
+    a constant-size handle), and hotspots, counters, tile-cache keys and
+    the checkpoint signature are bit-identical to the in-RAM path
+    because the store serves the same canonical rects and digests.
     """
     t_start = time.perf_counter()
     report = FullChipScanReport()

@@ -20,7 +20,8 @@ re-run serially.
 
 Two entry points:
 
-* :meth:`TileExecutor.map` — the plain fan-out: any failure propagates.
+* :meth:`TileExecutor.map` — the plain fan-out: :meth:`run` with no
+  retries, so any failure propagates, a dead worker's included.
 * :meth:`TileExecutor.run` — the fault-tolerant fan-out used by the
   long-running engines: per-chunk timeouts, bounded retry with
   exponential backoff, poison-tile quarantine (a chunk that exhausts
@@ -82,7 +83,7 @@ Result = TypeVar("Result")
 
 # Failure modes of standing up a process pool (sandboxes without
 # semaphores, missing _multiprocessing, fork restrictions).  Only pool
-# *construction* is guarded by these — see TileExecutor.map/run.
+# *construction* is guarded by these — see TileExecutor.run.
 _POOL_ERRORS = (OSError, ImportError, PermissionError)
 
 # How many completed-tile records may accumulate before the checkpoint
@@ -159,25 +160,9 @@ def _pin_worker() -> None:
         pass  # the CPU went away or the sandbox forbids it: stay unpinned
 
 
-def _run_chunk(
-    fn: Callable[[Any, Any], Any], chunk: Sequence[Any]
-) -> tuple[list[Any], dict | None]:
-    """Run one chunk; return (results, metric snapshot or None).
-
-    The worker registry is reset at the chunk boundary so the snapshot
-    covers exactly this chunk's work — every event is merged into the
-    parent exactly once, whichever worker ran the chunk.
-    """
-    registry = get_registry()
-    if registry.enabled:
-        registry.reset()
-    results = [fn(_PAYLOAD, item) for item in chunk]
-    snapshot = registry.snapshot() if registry.enabled else None
-    return results, snapshot
-
-
 class WorkerFailure(Exception):
-    """An item inside a chunk raised; carries the failing tile's key."""
+    """An item inside a chunk raised, or (from :meth:`TileExecutor.map`)
+    its worker died; carries the failing tile's key."""
 
     def __init__(self, key: Any, message: str) -> None:
         super().__init__(key, message)
@@ -186,6 +171,15 @@ class WorkerFailure(Exception):
 
     def __str__(self) -> str:
         return self.message
+
+
+def _guarded(fn: Callable[[Any, Any], Any], payload: Any, item: Any) -> tuple[bool, Any]:
+    """``(True, fn(payload, item))``, or ``(False, exc)`` when it raises:
+    :meth:`TileExecutor.map` re-raises an item's own exception."""
+    try:
+        return True, fn(payload, item)
+    except Exception as exc:  # repro-lint: disable=RL004
+        return False, exc
 
 
 def _run_chunk_ft(
@@ -472,34 +466,30 @@ class TileExecutor:
     ) -> list[Result]:
         """Fan ``fn(payload, item)`` out over the pool; failures propagate.
 
-        Only *standing the pool up* degrades to the serial path (with a
-        warning and the ``pool_fallback`` gauge); an exception raised by
-        ``fn`` mid-run propagates to the caller on every path.
+        Pooled, this is :meth:`run` without retries or a fault plan:
+        the first failing item in submission order raises its own
+        exception, and an item whose worker died (OOM kill, SIGKILL)
+        raises :class:`WorkerFailure` instead of hanging the call (a
+        chunk lost with its worker is first bisected down to that
+        item).  Only *standing the pool up* degrades to the serial path
+        (with a warning and the ``pool_fallback`` gauge).
         """
         work = list(items)
         if self.jobs <= 1 or len(work) <= 1:
             return [fn(payload, item) for item in work]
-        registry = get_registry()
-        chunk = self._resolve_chunk(len(work))
-        chunks = [work[i : i + chunk] for i in range(0, len(work), chunk)]
-        try:
-            workers = self._obtain_pool(payload, None, min(self.jobs, len(chunks)))
-        except _POOL_ERRORS as exc:
-            self._fallback(exc)
-            return [fn(payload, item) for item in work]
-        broken = True
-        try:
-            parts = workers.pool.map(partial(_run_chunk, fn), chunks, chunksize=1)
-            broken = False
-        finally:
-            self._retire_pool(workers, broken)
-        # merge worker metric snapshots in submission order: counters and
-        # timers are order-independent, gauges become last-write-wins in
-        # the same order a serial run would have written them
-        for _, snapshot in parts:
-            if snapshot is not None:
-                registry.merge(snapshot)
-        return [result for part, _ in parts for result in part]
+        outcome = self.run(
+            partial(_guarded, fn), payload, work, max_retries=0, fault_plan=FaultPlan()
+        )
+        errors = {q.index: q.error for q in outcome.quarantined}
+        results: list[Result] = []
+        for key, value in enumerate(outcome.results):
+            if value is None:
+                raise WorkerFailure(key, errors[key])
+            ok, result = value
+            if not ok:
+                raise result
+            results.append(result)
+        return results
 
     # -- fault-tolerant fan-out -----------------------------------------
     def run(

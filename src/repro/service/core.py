@@ -426,19 +426,12 @@ class VerificationService:
         cell = session.cell(params.get("cell")) if layout_store is None else None
         if job.kind == "scan":
             layer = resolve_layer(tech, params.get("layer", "M1"))
-            if layout_store is not None:
-                store_layer = layout_store.layer_for(layer)
-                # an empty layer has no rect run to window; its (empty)
-                # region scans identically
-                drawn = store_layer if not store_layer.is_empty else store_layer.region()
-            else:
-                drawn = cell.region(layer)
             view = self.store.view(
                 self.store.namespace("scan", __version__, node)
             )
             report = scan_full_chip(
                 self._model(node),
-                drawn,
+                cell.region(layer) if layout_store is None else layout_store.layer_for(layer),
                 tile_nm=tile_nm,
                 pinch_limit=tech.metal_width // 2,
                 jobs=self.executor.jobs,

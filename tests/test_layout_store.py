@@ -3,9 +3,10 @@
 The tentpole contract: a scan or DRC fed rects from the mmapped
 ``layoutstore-v1`` file produces bit-identical reports and
 interchangeable tile-cache entries vs. the in-RAM flatten, at
-``jobs=1`` and ``jobs=4``; worker payloads shrink to ``(path, offset,
-count)`` handles; and service sessions backed by a store directory
-survive restarts without re-parsing the GDSII.
+``jobs=1`` and ``jobs=4``; worker payloads shrink to store layers,
+which pickle as ``(path, key, digest)`` handles; and service sessions
+backed by a store directory survive restarts without re-parsing the
+GDSII.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from repro.layout import store as store_mod
 from repro.layout.store import (
     LayoutStoreError,
     LayoutStoreVersionError,
-    StoreRects,
+    StoreLayer,
     ensure_store,
     ingest,
     open_store,
 )
 from repro.litho import LithoModel, scan_full_chip
 from repro.obs import MetricsRegistry, names, sample_peak_rss, set_registry
-from repro.parallel import TileCache
+from repro.parallel import AbortRun, FaultPlan, TileCache
 from repro.parallel import shm as shm_mod
 from tests import layout_reference
 
@@ -60,6 +61,14 @@ def store_setup(tmp_path_factory, tech45, stdlib45):
     write_gds(block.layout, gds)
     view = ensure_store(gds, str(d / "block.lstore"))
     return block, gds, view
+
+
+def _one_layer_layout(layer: Layer, rects: list[Rect]) -> Layout:
+    layout = Layout()
+    top = layout.new_cell("TOP")
+    for rect in rects:
+        top.add_rect(layer, rect)
+    return layout
 
 
 class TestStoreRoundTrip:
@@ -100,15 +109,33 @@ class TestStoreRoundTrip:
             expect = [r for r in rects if r.touches(window)]
             assert stored.window(window) == expect
 
-    def test_handle_pickles_as_three_scalars(self, store_setup, tech45):
+    def test_layer_pickles_as_a_handle(self, store_setup, tech45):
         _, _, view = store_setup
-        handle = view.layer_for(tech45.layers.metal1).handle()
-        wire = pickle.dumps(handle)
-        assert len(wire) < 200  # path + two ints, not geometry
+        layer = view.layer_for(tech45.layers.metal1)
+        wire = pickle.dumps(layer)
+        assert len(wire) < 200  # path, key and a few scalars, not geometry
         clone = pickle.loads(wire)
-        assert isinstance(clone, StoreRects)
-        assert clone.rects() == handle.rects()
-        assert clone.digest() == handle.digest()
+        assert isinstance(clone, StoreLayer)
+        assert clone.rects() == layer.rects()
+        assert clone.digest() == layer.digest()
+
+    @pytest.mark.parametrize("edit", ["moved", "added"])
+    def test_pickled_layer_refuses_a_reingested_store(self, tmp_path, tech45, edit):
+        # a moved rect keeps the layer's offset and rect count; only its
+        # content says the store was rewritten
+        m1 = tech45.layers.metal1
+        gds, path = str(tmp_path / "chip.gds"), str(tmp_path / "chip.lstore")
+        rects = [Rect(0, 0, 100, 1000), Rect(300, 0, 400, 1000)]
+        write_gds(_one_layer_layout(m1, rects), gds)
+        wire = pickle.dumps(ingest(gds, path).layer_for(m1))
+        if edit == "moved":
+            rects = [rects[0], Rect(500, 0, 600, 1000)]
+        else:
+            rects = rects + [Rect(700, 0, 800, 1000)]
+        write_gds(_one_layer_layout(m1, rects), gds)
+        ingest(gds, path)
+        with pytest.raises(LayoutStoreError, match="rewritten"):
+            pickle.loads(wire).rects()
 
 
 class TestStoreFile:
@@ -380,6 +407,47 @@ class TestScanEquivalence:
         assert second.cache_hit_rate == 1.0
         assert second.hotspots == first.hotspots
 
+    def test_absent_layer_scans_like_an_empty_region(self, store_setup, tech45):
+        _, _, view = store_setup
+        model = LithoModel(tech45.litho)
+        absent = view.layer(240, 0)
+        assert absent.is_empty
+        m1 = view.layer_for(tech45.layers.metal1)
+        kwargs = dict(
+            extent=Rect(0, 0, 4000, 4000), tile_nm=2000, pinch_limit=tech45.metal_width // 2
+        )
+        for drawn, mask, drawn_ram, mask_ram in (
+            (absent, None, Region(), None),
+            (m1, absent, m1.region(), Region()),
+        ):
+            cache = TileCache()
+            stored = scan_full_chip(model, drawn, mask=mask, cache=cache, jobs=2, **kwargs)
+            ram = scan_full_chip(model, drawn_ram, mask=mask_ram, cache=cache, **kwargs)
+            assert stored.tiles == stored.tiles_computed == 4
+            assert ram.tiles_cached == ram.tiles  # one cache serves both paths
+            assert stored.hotspots == ram.hotspots
+
+    @pytest.mark.parametrize("writer_store", [False, True])
+    def test_checkpoints_are_interchangeable(self, store_setup, tech45, tmp_path, writer_store):
+        block, _, view = store_setup
+        model = LithoModel(tech45.litho)
+        layer = tech45.layers.metal1
+        kwargs = dict(tile_nm=1500, pinch_limit=tech45.metal_width // 2)
+        sources = [block.top.region(layer), view.layer_for(layer)]
+        if writer_store:
+            sources.reverse()
+        baseline = scan_full_chip(model, sources[0], **kwargs)
+        ckpt = str(tmp_path / "scan.ckpt")
+        with pytest.raises(AbortRun):
+            scan_full_chip(
+                model, sources[0], fault_plan=FaultPlan.parse("tile:3:abort"),
+                checkpoint_file=ckpt, **kwargs,
+            )
+        resumed = scan_full_chip(model, sources[1], checkpoint_file=ckpt, resume=True, **kwargs)
+        assert resumed.tiles_resumed == 3
+        assert resumed.tiles_computed == resumed.tiles - 3
+        assert resumed.hotspots == baseline.hotspots
+
     def test_store_payload_is_tiny(self, store_setup, tech45, registry, monkeypatch):
         block, _, view = store_setup
         model = LithoModel(tech45.litho)
@@ -447,6 +515,28 @@ class TestDrcEquivalence:
         assert second.tiles_computed == 0
         assert second.violations == first.violations
 
+    @pytest.mark.parametrize("writer_store", [False, True])
+    def test_checkpoints_are_interchangeable(self, drc_setup, tmp_path, writer_store):
+        from repro.drc import run_drc
+
+        block, deck, view = drc_setup
+        sources = [{"cell": block.top}, {"cell": None, "store": view}]
+        if writer_store:
+            sources.reverse()
+        baseline = run_drc(deck=deck, tile_nm=2500, **sources[0])
+        ckpt = str(tmp_path / "drc.ckpt")
+        with pytest.raises(AbortRun):
+            run_drc(
+                deck=deck, tile_nm=2500, fault_plan=FaultPlan.parse("tile:3:abort"),
+                checkpoint_file=ckpt, **sources[0],
+            )
+        resumed = run_drc(
+            deck=deck, tile_nm=2500, checkpoint_file=ckpt, resume=True, **sources[1]
+        )
+        assert resumed.tiles_resumed == 3
+        assert resumed.tiles_computed == resumed.tiles - 3
+        assert resumed.violations == baseline.violations
+
     def test_cell_and_store_both_missing_is_an_error(self, drc_setup):
         from repro.drc import run_drc
 
@@ -479,6 +569,34 @@ class TestServiceSessions:
             jobs=1, session_store_dir=str(tmp_path / "stores")
         ) as backed:
             assert self._run(backed, kind, gds) == expect
+
+    def test_reingested_store_is_not_scanned_by_warm_workers(self, tech45, tmp_path):
+        # moving a line keeps every layer's rect count and file offset, so
+        # only the layer digest tells the persistent pool the store changed
+        from repro.service import ServiceClient, VerificationService
+
+        m1 = tech45.layers.metal1
+        gds = str(tmp_path / "chip.gds")
+        corners = [Rect(0, 0, 6000, 10), Rect(5990, 5990, 6000, 6000)]
+        line = tech45.metal_width // 3
+        params = {"gds": gds, "tile": 2000, "limit": 100}
+        listings = []
+        with VerificationService(
+            jobs=2, session_store_dir=str(tmp_path / "stores")
+        ) as service:
+            for x in (1000, 4000):
+                write_gds(_one_layer_layout(m1, corners + [Rect(x, 1000, x + line, 3000)]), gds)
+                job = ServiceClient(service).run("scan", params)
+                assert job.result["tiles_computed"] > 0
+                listings.append(job.result["listing"])
+        direct = scan_full_chip(
+            LithoModel(tech45.litho),
+            read_gds(gds).top_cell().region(m1),
+            tile_nm=2000,
+            pinch_limit=tech45.metal_width // 2,
+        )
+        assert listings[0] != listings[1]
+        assert listings[1] == [str(h) for h in direct.hotspots]
 
     def test_sessions_survive_restart(self, store_setup, registry, tmp_path):
         from repro.service import VerificationService

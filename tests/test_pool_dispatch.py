@@ -4,8 +4,8 @@ death, and warm reuse of in-RAM payloads.
 A pooled run hands its payload to the pool as it is (fork workers
 inherit it), keeps one chunk queued ahead of each worker without
 starting that chunk's timeout clock, fails a chunk whose worker was
-killed instead of waiting for it forever, and lets a persistent pool
-serve a repeated in-RAM payload warm.
+killed instead of waiting for it forever (``map`` raises for it), and
+lets a persistent pool serve a repeated in-RAM payload warm.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.drc import run_drc
 from repro.gdsii import write_gds
 from repro.litho import LithoModel, scan_full_chip
 from repro.obs import MetricsRegistry, names, set_registry
-from repro.parallel import FaultPlan, TileExecutor
+from repro.parallel import FaultPlan, TileExecutor, WorkerFailure
 from repro.parallel.shm import ShmArena
 from repro.service import JobState, ServiceClient, VerificationService
 from repro.service.session import resolve_layer
@@ -44,6 +44,24 @@ def _run_with_killed_worker(marker, conn):
     out = TileExecutor(2, chunk_size=1).run(_kill_worker_once, marker, list(range(6)))
     conn.send((out.results, out.retries, [q.index for q in out.quarantined]))
     conn.close()
+
+
+def _map_with_killed_worker(marker, conn):
+    try:
+        TileExecutor(2, chunk_size=1).map(_kill_worker_once, marker, list(range(6)))
+    except WorkerFailure as exc:
+        conn.send((exc.key, str(exc)))
+    else:
+        conn.send(None)
+    conn.close()
+
+
+def _fail_on_1_and_4(payload, item):
+    if item == 1:
+        raise KeyError(item)
+    if item == 4:
+        raise ValueError(item)
+    return item
 
 
 @pytest.fixture
@@ -93,6 +111,36 @@ class TestDispatch:
         assert results == [i * 10 for i in range(6)]
         assert retries >= 1
         assert quarantined == []
+
+    @pytest.mark.skipif(
+        os.name != "posix" or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs SIGKILL and fork",
+    )
+    def test_killed_worker_fails_map_instead_of_hanging(self, tmp_path):
+        # map retries nothing: the dead worker's item raises WorkerFailure
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(
+            target=_map_with_killed_worker, args=(str(tmp_path / "killed"), sender)
+        )
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60), "map hung after its worker was killed"
+            failure = receiver.recv()
+        finally:
+            if child.is_alive():
+                child.kill()
+            child.join()
+        assert (tmp_path / "killed").exists()  # the worker really was killed
+        assert failure is not None, "map returned although a worker died"
+        key, message = failure
+        assert key == 3
+        assert "died mid-chunk" in message
+
+    def test_map_raises_the_first_failure_in_submission_order(self):
+        with pytest.raises(KeyError):
+            TileExecutor(2, chunk_size=1).map(_fail_on_1_and_4, None, list(range(6)))
 
 
 class TestNoArena:
