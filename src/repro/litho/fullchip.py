@@ -284,8 +284,12 @@ def scan_full_chip(
 
     Geometry is pre-binned into a spatial index so each tile touches
     only the rects inside its optical influence window, and each tile's
-    corner sweep reuses one mask raster and one FFT image per unique
-    blur sigma (see :class:`~repro.litho.model.SimCache`).  The report
+    corner sweep reuses one mask raster and one blurred image per unique
+    blur sigma, factored over the raster's runs of identical lines or,
+    for a raster with too many of them, an FFT (see
+    :class:`~repro.litho.model.SimCache`).  A negative ``grid`` raises
+    ``ValueError`` before any tile runs, as building a
+    :class:`ProcessWindow` with a non-positive dose does.  The report
     is bit-identical to the serial whole-chip scan of
     ``tests/litho_reference.py``, which runs every tile over the whole
     chip with one independent simulation per corner.

@@ -68,7 +68,8 @@ def find_hotspots(
     and filtering them keeps results window- and tiling-invariant.
 
     The corner sweep runs through a :class:`~repro.litho.model.SimCache`
-    (one rasterization, one FFT image per unique blur sigma), and each
+    (one rasterization, one blurred image per unique blur sigma: the
+    factored product over runs of identical lines, or the FFT), and each
     corner's printed raster is classified on canonical slab arrays
     (:mod:`repro.geometry.slabarrays`) without becoming a region: one
     sweep intersects it with the drawn window, component labels and

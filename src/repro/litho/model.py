@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 import scipy.fft
-from scipy.ndimage import gaussian_filter
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import correlate1d, gaussian_filter
 
 from repro.geometry import Rect, Region
 from repro.litho.raster import raster_to_region, rasterize
@@ -18,6 +19,23 @@ _U = float(np.finfo(np.float64).eps) / 2
 # bound on the normwise relative error one FFT adds per log2 of its length
 # (see LithoModel._blur_fft)
 _ETA = 8 * _U
+# The factored blur (LithoModel._blur_factored) runs when its work, counted
+# in multiply-adds, is at most this many times the FFT's P log2 P for a
+# P-pixel padded transform.  Both paths timed on synthetic rasters of k
+# distinct random lines in equal runs, at the 45 nm node's 80 nm-defocus
+# sigma (two-vCPU host, Python 3.11, NumPy 2.4, SciPy 1.17), broke even at
+# a work ratio of 2.0-2.2 on 180x260 rasters, 2.6-2.8 on 476x476, 3.2-3.6
+# on 716x756 (150-190 runs) and 3.1-3.6 on 446x446 at a 1 nm grid; at 2.5
+# the path taken is never more than about a quarter slower than the other.
+_FACTORED_PER_FFT = 2.5
+# output lines per block of the factored product
+_BLOCK = 32
+
+
+def _gamma(m: int) -> float:
+    """Higham's ``gamma(m) = m u / (1 - m u)``: the relative error bound
+    of ``m`` roundings (of a sum of ``m + 1`` terms, say)."""
+    return m * _U / (1.0 - m * _U)
 
 
 def _gaussian_taps(sigma: float) -> np.ndarray:
@@ -31,6 +49,16 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
     return phi / phi.sum()
+
+
+def _fft_shape(shape: tuple[int, ...], reach: int, trim: int) -> tuple[int, int]:
+    """The padded grid :meth:`LithoModel._blur_fft` transforms a raster
+    of ``shape`` on: a fast length of at least ``n + reach - trim`` per
+    axis."""
+    return (
+        scipy.fft.next_fast_len(shape[0] + reach - trim, real=True),
+        scipy.fft.next_fast_len(shape[1] + reach - trim, real=True),
+    )
 
 
 def _separable_spectrum(taps: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -145,10 +173,7 @@ class LithoModel:
         wide_taps = _gaussian_taps(sigma_px * self.flare_ratio)
         reach = max(len(main_taps), len(wide_taps)) // 2
         ny, nx = raster.shape
-        shape = (
-            scipy.fft.next_fast_len(ny + reach - trim, real=True),
-            scipy.fft.next_fast_len(nx + reach - trim, real=True),
-        )
+        shape = _fft_shape(raster.shape, reach, trim)
         kernel = (1.0 + f) * _separable_spectrum(main_taps, shape)
         kernel -= f * _separable_spectrum(wide_taps, shape)
         spectrum = scipy.fft.rfft2(raster, s=shape)
@@ -163,9 +188,152 @@ class LithoModel:
         # that spin on the CPUs a pooled scan's other workers are using
         norm = math.sqrt(np.einsum("ij,ij->", raster, raster))
         fft_err = 2.0 * (3.0 * _ETA * levels + 5.0 * _U) * l1 * norm
-        taps = 2 * reach + 1
-        scipy_err = l1 * (2.0 * taps * _U / (1.0 - taps * _U) + 3.0 * _U)
-        return image, fft_err + scipy_err
+        return image, fft_err + self._scipy_error(reach)
+
+    def _scipy_error(self, reach: int) -> float:
+        """The bound on :meth:`_blur`'s distance from the exact
+        convolution with the float taps, ``reach`` the wider kernel's tap
+        radius (the scipy side of :meth:`_blur_fft`'s derivation)."""
+        return (1.0 + 2.0 * abs(self.flare)) * (2.0 * _gamma(2 * reach + 1) + 3.0 * _U)
+
+    def _blur_factored(
+        self, raster: np.ndarray, sigma_px: float, trim: int
+    ) -> tuple[np.ndarray, float] | None:
+        """:meth:`_blur` inside a ``trim``-pixel border as a sum of small
+        products over the raster's runs of identical lines, and a bound
+        ``delta`` on its distance from :meth:`_blur`'s image at any
+        pixel; or None when that would take more work than
+        :meth:`_blur_fft`.
+
+        A raster whose lines (rows, or columns when those have fewer
+        runs) come in ``k`` non-empty runs of identical consecutive
+        lines is the sum, over runs ``c`` of lines ``[s_c, e_c)`` with
+        content ``L_c``, of the run's indicator times ``L_c``.  A
+        separable kernel ``t x t`` maps each term to ``(t * indicator)
+        x (t * L_c)``, so each kernel's image is a product ``A B``:
+
+        * ``A[i, c]``, the blurred indicator at output line ``i``, is a
+          sum of consecutive taps, ``C[e_c - i + r] - C[s_c - i + r]``
+          with ``C`` the running tap sums (``C[0] = 0``, indices clipped
+          to ``[0, n]`` for ``n = 2r + 1`` taps);
+        * ``B[c]`` is ``L_c`` correlated with the taps by scipy's
+          ``correlate1d`` (zero boundary, as ``mode="constant"``).
+
+        Runs that repeat a line share one ``B`` row: their ``A``
+        columns are added.  This is :meth:`_blur`'s linear operator,
+        the same :func:`_gaussian_taps` and zero boundary, summed in
+        another order.  The product is formed with ``np.einsum``, in
+        blocks of ``_BLOCK`` output lines over the columns of ``A``
+        that are non-zero in the block (``A`` is banded: a run reaches
+        ``r`` lines past its ends).  Not with a BLAS product: pooled
+        scans pin each worker to one CPU, and OpenBLAS's helper threads
+        spin on it after every call.
+
+        The work estimate counts the product's multiply-adds (the
+        non-zeros of ``A`` times the output line length) and the
+        correlations' (distinct lines times line length times taps);
+        it must stay within ``_FACTORED_PER_FFT`` times the FFT's
+        ``P log2 P``.
+
+        ``delta`` is derived, to first order in the unit roundoff
+        ``u``, with ``gamma(m) = m u / (1 - m u)``.  Every quantity is
+        non-negative but the two kernel weights ``w`` (``1 + flare``
+        and ``-flare``): the taps sum to 1 and the coverage lies in
+        ``[0, 1]``, so every ``B`` entry and every row sum of ``A`` is
+        at most 1.  Per kernel, with ``n`` taps:
+
+        * ``C`` is a running sum of at most ``n`` taps, each entry off
+          by at most ``gamma(n)``; an ``A`` entry is the difference of
+          two, off by at most ``2 gamma(n)`` plus one rounding of
+          itself.  A row of ``A`` has at most ``k`` non-zero entries
+          (an entry out of reach clips both indices to one end and is
+          exactly 0), so the ``A`` errors move a pixel by at most ``2 k
+          gamma(n) + u``.
+        * Adding the columns of runs that share a line is a sum of at
+          most ``k`` non-negative terms: ``gamma(k)``.  The weight's
+          product: ``u``.
+        * A ``B`` entry sums ``n`` tap products over values of at most
+          1 (scipy's pass, as below): off by at most ``gamma(n)``,
+          which ``A``'s row sum (at most 1) carries to the pixel.
+
+        So a kernel's terms err by at most ``|w| (2 k gamma(n) +
+        gamma(n) + gamma(k) + 2u)``.  Each pixel then sums the ``M``
+        products of its block's columns (both kernels, ``M`` at most
+        twice the distinct lines) in some order, which adds at most
+        ``gamma(M) K`` for the kernel's L1 norm ``K = 1 + 2 |flare|``.
+        ``delta`` is the two kernels' terms, that sum's, and the scipy
+        side of :meth:`_blur_fft`'s derivation.
+        """
+        f = self.flare
+        kernels = (
+            (1.0 + f, _gaussian_taps(sigma_px)),
+            (-f, _gaussian_taps(sigma_px * self.flare_ratio)),
+        )
+        reach = max(len(taps) for _, taps in kernels) // 2
+        new_row = np.any(raster[1:] != raster[:-1], axis=1)
+        new_col = np.any(raster[:, 1:] != raster[:, :-1], axis=0)
+        transpose = np.count_nonzero(new_col) < np.count_nonzero(new_row)
+        lines, new = (raster.T, new_col) if transpose else (raster, new_row)
+        n0, n1 = lines.shape
+        m0, m1 = n0 - 2 * trim, n1 - 2 * trim
+        starts = np.flatnonzero(np.concatenate(([True], new)))
+        ends = np.append(starts[1:], n0)
+        content = np.ascontiguousarray(lines[starts])
+        filled = content.any(axis=1)  # an empty run adds nothing
+        starts, ends, content = starts[filled], ends[filled], content[filled]
+        k = len(starts)
+        seen: dict[bytes, int] = {}
+        line_of = np.array(
+            [seen.setdefault(line.tobytes(), len(seen)) for line in content], dtype=np.intp
+        )
+        distinct = content[np.unique(line_of, return_index=True)[1]]
+
+        work = 0
+        for _, taps in kernels:
+            r = len(taps) // 2
+            rows = np.minimum(ends + r, n0 - trim) - np.maximum(starts - r, trim)
+            work += m1 * int(np.maximum(rows, 0).sum()) + n1 * len(distinct) * len(taps)
+        shape = _fft_shape(raster.shape, reach, trim)
+        pixels = shape[0] * shape[1]
+        if work > _FACTORED_PER_FFT * pixels * math.log2(pixels):
+            return None
+
+        err = self._scipy_error(reach)
+        if k == 0:
+            return np.zeros((raster.shape[0] - 2 * trim, raster.shape[1] - 2 * trim)), err
+        by_line = np.argsort(line_of, kind="stable")
+        groups = np.searchsorted(line_of[by_line], np.arange(len(distinct)))
+        factors, lined = [], []
+        for w, taps in kernels:
+            n = len(taps)
+            r = n // 2
+            cum = np.concatenate(([0.0], np.cumsum(taps)))
+            # ramp[q] = C[clip(n0 - q + r, 0, n)]: its window at n0 + trim
+            # - e holds C[clip(e - i + r, 0, n)] over the output lines i =
+            # trim, trim + 1, ..., so A's column is two windows' difference
+            ramp = cum[np.clip(np.arange(n0, -n0 - 1, -1) + r, 0, n)]
+            windows = sliding_window_view(ramp, m0)
+            a = windows[n0 + trim - ends] - windows[n0 + trim - starts]
+            if len(distinct) < k:
+                a = np.add.reduceat(a[by_line], groups, axis=0)
+            a *= w
+            factors.append(a)
+            lined.append(correlate1d(distinct, taps, axis=1, mode="constant")[:, trim : n1 - trim])
+            err += abs(w) * (2 * k * _gamma(n) + _gamma(n) + _gamma(k) + 2.0 * _U)
+        at = np.concatenate(factors)  # (kernel, distinct line) x output line
+        b = np.concatenate(lined)
+        image = np.empty((m0, m1))
+        terms = 0
+        for i0 in range(0, m0, _BLOCK):
+            block = at[:, i0 : i0 + _BLOCK]
+            used = np.flatnonzero(block.any(axis=1))
+            terms = max(terms, len(used))
+            # a block out of every run's reach sums no terms: zeros
+            np.einsum("ci,cj->ij", block[used], b[used], out=image[i0 : i0 + _BLOCK])
+        err += _gamma(terms) * (1.0 + 2.0 * abs(f))
+        if transpose:
+            image = np.ascontiguousarray(image.T)
+        return image, err
 
     # -- core simulation --------------------------------------------------------
     def aerial_image(
@@ -277,20 +445,23 @@ class SimCache:
       halo's own edge, so it is rasterized once per halo instead;
     * the aerial image depends only on the blur sigma — ±defocus
       collapse under ``hypot``, so the cache computes one intensity
-      image per unique sigma, as one 2-D FFT convolution
-      (:meth:`LithoModel._blur_fft`);
+      image per unique sigma: a product over the raster's runs of
+      identical lines (:meth:`LithoModel._blur_factored`) when the
+      raster has few enough of them, else one 2-D FFT convolution
+      (:meth:`LithoModel._blur_fft`); ``sim.blur_unique`` counts the
+      images and ``sim.blur_factored`` the products among them;
     * dose only scales the resist threshold — thresholding a cached
       aerial image is nearly free.
 
-    A five-corner sweep therefore costs 1 rasterization and 2 FFT
-    convolutions instead of 5 rasterizations and 10 Gaussian filters,
-    and a 5x3 process-window grid costs 1 and 3 instead of 15 and 30.
-    Every printed raster is bit-identical to the uncached
-    :class:`LithoModel` methods: :meth:`print_image` certifies each
-    pixel's threshold decision against the FFT's error bound and takes
-    the few it cannot certify from the scipy image — asserted by the
-    fast-path equivalence tests.  :meth:`aerial_image` stays the scipy
-    image, bit-identical to :meth:`LithoModel.aerial_image`.
+    A five-corner sweep therefore costs 1 rasterization and 2 blurred
+    images instead of 5 rasterizations and 10 Gaussian filters, and a
+    5x3 process-window grid costs 1 and 3 instead of 15 and 30.  Every
+    printed raster is bit-identical to the uncached :class:`LithoModel`
+    methods: :meth:`print_image` certifies each pixel's threshold
+    decision against the image's error bound and takes the few it
+    cannot certify from the scipy image — asserted by the fast-path
+    equivalence tests.  :meth:`aerial_image` stays the scipy image,
+    bit-identical to :meth:`LithoModel.aerial_image`.
     """
 
     def __init__(
@@ -313,8 +484,8 @@ class SimCache:
         self._raster: np.ndarray | None = None
         self._raster_halo_px = 0
         self._images: dict[float, np.ndarray] = {}  # blur sigma (nm) -> scipy image
-        # blur sigma (nm) -> (FFT image, its error bound)
-        self._fft_images: dict[float, tuple[np.ndarray, float]] = {}
+        # blur sigma (nm) -> (certified image, its error bound, factored?)
+        self._certified: dict[float, tuple[np.ndarray, float, bool]] = {}
         if defocus_hint:
             self._raster_halo_px = max(
                 model._halo_px(d, self.grid) for d in defocus_hint
@@ -355,24 +526,32 @@ class SimCache:
             get_registry().inc(names.SIM_BLUR_UNIQUE)
         return image
 
-    def _fft_image(self, defocus_nm: float) -> tuple[np.ndarray, float]:
-        """The FFT intensity image over the window and its error bound."""
+    def _certified_image(self, defocus_nm: float) -> tuple[np.ndarray, float, bool]:
+        """The intensity image over the window, its error bound, and
+        whether it is the factored product (else the FFT image)."""
         sigma = self.model.blur_sigma_nm(defocus_nm)
-        entry = self._fft_images.get(sigma)
+        entry = self._certified.get(sigma)
         if entry is None:
+            registry = get_registry()
             trim = self.model._halo_px(defocus_nm, self.grid)
             raster = self._raster_for(trim)
-            entry = self.model._blur_fft(raster, sigma / self.grid, trim)
-            self._fft_images[sigma] = entry
-            get_registry().inc(names.SIM_BLUR_UNIQUE)
+            blurred = self.model._blur_factored(raster, sigma / self.grid, trim)
+            if blurred is None:
+                entry = (*self.model._blur_fft(raster, sigma / self.grid, trim), False)
+            else:
+                entry = (*blurred, True)
+                registry.inc(names.SIM_BLUR_FACTORED)
+            self._certified[sigma] = entry
+            registry.inc(names.SIM_BLUR_UNIQUE)
         return entry
 
     def print_image(self, dose: float = 1.0, defocus_nm: float = 0.0) -> np.ndarray:
         """Boolean printed raster at the given process condition;
         bit-identical to :meth:`LithoModel.print_image`.
 
-        Pixels are thresholded on the FFT image.  One whose FFT
-        intensity lies within the image's error bound of the cut
+        Pixels are thresholded on the certified image (the factored
+        product or the FFT image).  One whose intensity there lies
+        within the image's error bound of the cut
         ``resist_threshold / dose`` could decide either way; if there
         are any, their decisions come from the scipy image
         (:meth:`aerial_image`) and the condition counts one
@@ -380,7 +559,7 @@ class SimCache:
         """
         if dose <= 0:
             raise ValueError("dose must be positive")
-        image, delta = self._fft_image(defocus_nm)
+        image, delta, _ = self._certified_image(defocus_nm)
         threshold = self.model.settings.resist_threshold
         cut = threshold / dose
         # widened by a few ulps of the cut for the rounding of ``cut``

@@ -25,11 +25,22 @@ class ProcessCondition:
 
 @dataclass(frozen=True, slots=True)
 class ProcessWindow:
-    """A rectangular dose/defocus window with corner enumeration."""
+    """A rectangular dose/defocus window with corner enumeration.
+
+    Both dose bounds must be positive (``ValueError`` otherwise): every
+    sweep over the window thresholds at ``resist_threshold / dose``, so
+    a bad window fails here, before any tile is simulated.
+    """
 
     dose_min: float = 0.95
     dose_max: float = 1.05
     defocus_max_nm: float = 80.0
+
+    def __post_init__(self) -> None:
+        if not (self.dose_min > 0 and self.dose_max > 0):
+            raise ValueError(
+                f"dose must be positive (dose_min={self.dose_min}, dose_max={self.dose_max})"
+            )
 
     def corners(self) -> list[ProcessCondition]:
         """Nominal plus the four worst-case corners."""
@@ -75,9 +86,11 @@ def sweep_contours(
     """Printed contours at each condition, through one :class:`SimCache
     <repro.litho.model.SimCache>`.
 
-    The sweep rasterizes the mask once and computes one FFT intensity
-    image per unique blur sigma (±defocus share one), so a five-corner
-    set costs 1 rasterization + 2 FFT convolutions and a 5x3
+    The sweep rasterizes the mask once and computes one certified
+    intensity image per unique blur sigma (±defocus share one): a
+    product over the raster's runs of identical lines when it has few
+    of them, else an FFT convolution.  A five-corner set costs 1
+    rasterization + 2 blurred images and a 5x3
     :meth:`ProcessWindow.grid` sweep costs 1 + 3 (instead of 15
     rasterizations + 30 Gaussian filters).  Every contour is
     bit-identical to one independent :meth:`LithoModel.print_contour

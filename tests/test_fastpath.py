@@ -8,14 +8,14 @@ reference engine kept in ``tests/litho_reference.py``.  These tests pin
 that promise at every layer, plus the bug fixes that rode along
 (tile-key stability on cache hits, ``_min_feature_width`` deflation
 under slab slicing, the merge's severity tie-break, and argument
-checks on ``grid`` and ``pv_bands``).
+checks on ``grid``, ``pv_bands`` and the process window's dose).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from repro.designgen import LogicBlockSpec, generate_logic_block, generate_sram_array
 from repro.geometry import Rect, Region
@@ -164,9 +164,27 @@ def print_cases(draw):
     return mask, window, grid, dose, defocus
 
 
+@st.composite
+def blur_cases(draw):
+    """A soup of a few rects (few runs of identical lines: the factored
+    product) or of many small ones (a new line at nearly every pixel:
+    the FFT), a window, a grid and a defocus."""
+    grid = draw(st.sampled_from([2, 4, 5, 8]))
+    many = draw(st.booleans())
+    side = st.integers(2, 12) if many else st.integers(8, 240)
+    boxes = st.tuples(st.integers(-150, 150), st.integers(-150, 150), side, side)
+    rects = draw(st.lists(boxes, min_size=40 if many else 1, max_size=80 if many else 4))
+    x0, y0 = draw(st.integers(-150, 0)), draw(st.integers(-150, 0))
+    window = Rect(x0, y0, x0 + draw(st.integers(40, 300)), y0 + draw(st.integers(40, 300)))
+    defocus = draw(st.sampled_from([0.0, 40.0, 80.0]))
+    mask = Region([Rect(x, y, x + w, y + h) for x, y, w, h in rects])
+    return mask, window, grid, defocus
+
+
 class TestCertifiedPrint:
-    """SimCache.print_image thresholds an FFT image, certified against
-    the scipy image: every printed pixel must still match the model."""
+    """SimCache.print_image thresholds a blurred image (the factored
+    product or the FFT), certified against the scipy image: every
+    printed pixel must still match the model."""
 
     @given(print_cases())
     @settings(max_examples=40, deadline=None)
@@ -195,6 +213,7 @@ class TestCertifiedPrint:
     def test_designs_need_no_fallback(self, tech45, stdlib45, litho45, registry):
         # a quick-size logic block and an SRAM window: no pixel comes
         # near the error bound, which sits far above the observed error
+        # (the factored product's bound is the tighter of the two)
         spec = LogicBlockSpec(rows=2, row_width_nm=6000, net_count=8, weak_spots=4, seed=7)
         block = generate_logic_block(tech45, spec, stdlib45).top
         sram = generate_sram_array(tech45, rows=12, cols=12).top_cell()
@@ -211,11 +230,124 @@ class TestCertifiedPrint:
             )
             for c in corners:
                 sim.print_image(c.dose, c.defocus_nm)
-                image, delta = sim._fft_image(c.defocus_nm)
+                image, delta, factored = sim._certified_image(c.defocus_nm)
                 error = np.abs(image - sim.aerial_image(c.defocus_nm)).max()
-                assert error * 1000 <= delta
+                assert error * (100 if factored else 1000) <= delta
         assert registry.counter(names.SIM_BLUR_UNIQUE) > 0
         assert registry.counter(names.SIM_EXACT_FALLBACK) == 0
+
+
+def _pattern(kind: str, window: Rect, margin: int, grid: int) -> Region:
+    """A mask over ``window`` grown by ``margin`` whose raster has few
+    runs of identical rows (``"rows"``), few runs of identical columns
+    but a new row every other pixel (``"columns"``), or a different
+    line at every pixel on both axes (``"every"``)."""
+    lo_x, lo_y = window.x0 - margin, window.y0 - margin
+    hi_x, hi_y = window.x1 + margin, window.y1 + margin
+    if kind == "rows":
+        # vertical bars in two bands of different heights
+        mid = (lo_y + hi_y) // 2
+        return Region(
+            [Rect(x, lo_y, x + 3 * grid, mid) for x in range(lo_x, hi_x, 7 * grid)]
+            + [Rect(x, mid, x + 2 * grid, hi_y) for x in range(lo_x, hi_x, 11 * grid)]
+        )
+    if kind == "columns":
+        # full-width one-pixel bars on every other pixel row: factored by
+        # rows, every bar would be a run of its own
+        return Region([Rect(lo_x, y, hi_x, y + grid) for y in range(lo_y, hi_y, 2 * grid)])
+    # a diagonal band of squares, one pixel apart
+    side = max(hi_x - lo_x, hi_y - lo_y)
+    return Region(
+        [
+            Rect(lo_x + d, lo_y + d, lo_x + d + 6 * grid, lo_y + d + 6 * grid)
+            for d in range(0, side, grid)
+        ]
+    )
+
+
+class TestFactoredBlur:
+    """SimCache's unique-sigma images come from the factored product
+    over the raster's runs of identical lines when that is cheaper than
+    the FFT, and from the FFT otherwise; either way every printed pixel
+    matches the model and the image lies within its bound of scipy's."""
+
+    conditions = (ProcessCondition(1.0, 0.0), ProcessCondition(0.95, 80.0))
+
+    @pytest.mark.parametrize("grid", [1, 4, 5, 8])
+    @pytest.mark.parametrize("aligned", [True, False])
+    @pytest.mark.parametrize(
+        "kind, factored", [("rows", True), ("columns", True), ("every", False)]
+    )
+    def test_path_and_print(self, litho45, registry, grid, aligned, kind, factored):
+        size = 40 * grid
+        window = Rect(0, 0, size, size) if aligned else Rect(3, -2, size + 5, size - 1)
+        margin = litho45.halo_nm(80.0) + 2 * grid
+        mask = _pattern(kind, window, margin, grid)
+        sim = litho45.sim_cache(mask, window, grid, defocus_hint=[0.0, 80.0])
+        for c in self.conditions:
+            assert np.array_equal(
+                sim.print_image(c.dose, c.defocus_nm),
+                litho45.print_image(mask, window, c.dose, c.defocus_nm, grid),
+            )
+        # the two sigmas' images, both from the expected path
+        assert registry.counter(names.SIM_BLUR_FACTORED) == (2 if factored else 0)
+        for c in self.conditions:
+            image, delta, path = sim._certified_image(c.defocus_nm)
+            assert path is factored
+            assert image.flags.c_contiguous
+            # the bound holds with the margins test_designs_need_no_fallback
+            # asks of each path
+            error = np.abs(image - sim.aerial_image(c.defocus_nm)).max()
+            assert error * (100 if factored else 1000) <= delta
+        raster = sim._raster_for(litho45._halo_px(80.0, grid))
+        row_runs = 1 + np.count_nonzero(np.any(raster[1:] != raster[:-1], axis=1))
+        column_runs = 1 + np.count_nonzero(np.any(raster[:, 1:] != raster[:, :-1], axis=0))
+        if kind == "columns":
+            assert column_runs < row_runs
+        elif kind == "rows":
+            assert row_runs < column_runs
+
+    def test_lines_out_of_reach_are_zero(self, litho45, registry):
+        # one square in a corner of a wide window: most product blocks
+        # sum no terms and must come out exactly 0
+        window = Rect(0, 0, 2400, 2000)
+        mask = Region(Rect(-100, -100, 60, 60))
+        sim = litho45.sim_cache(mask, window, 8)
+        image, delta, factored = sim._certified_image(0.0)
+        assert factored and image.shape == (250, 300)
+        assert not image[100:, :].any() and not image[:, 100:].any()
+        assert np.abs(image - sim.aerial_image(0.0)).max() <= delta
+        assert np.array_equal(sim.print_image(), litho45.print_image(mask, window, grid=8))
+
+    def test_empty_window_is_factored(self, litho45, registry):
+        sim = litho45.sim_cache(Region(), Rect(0, 0, 400, 400))
+        image, delta, factored = sim._certified_image(0.0)
+        assert factored and not image.any() and delta > 0
+        assert not sim.print_image().any()
+        assert registry.counter(names.SIM_BLUR_FACTORED) == 1
+
+    @given(blur_cases())
+    @example((Region(Rect(-100, -60, 140, 20)), Rect(0, 0, 120, 80), 4, 0.0))  # factored
+    @example(  # scattered small squares: the FFT
+        (
+            Region(
+                [
+                    Rect(x, (x * 37) % 240 - 120, x + 6, (x * 37) % 240 - 114)
+                    for x in range(-150, 150, 4)
+                ]
+            ),
+            Rect(-120, -120, 120, 120),
+            4,
+            80.0,
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bound_holds_on_both_paths(self, litho45, case):
+        mask, window, grid, defocus = case
+        sim = litho45.sim_cache(mask, window, grid)
+        image, delta, factored = sim._certified_image(defocus)
+        event("factored" if factored else "fft")
+        assert np.abs(image - sim.aerial_image(defocus)).max() <= delta
 
 
 class TestSweepEquivalence:
@@ -273,6 +405,25 @@ class TestArgumentChecks:
         _, model, m1 = fastpath_setup
         with pytest.raises(ValueError, match="at least one process condition"):
             pv_bands(model, m1, Rect(0, 0, 1000, 800), conditions=[])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "doses", [{"dose_min": 0.0}, {"dose_min": -0.1}, {"dose_max": 0.0}]
+    )
+    def test_non_positive_dose_fails_the_scan_instead_of_quarantining(
+        self, fastpath_setup, registry, jobs, doses
+    ):
+        _, model, m1 = fastpath_setup
+        with pytest.raises(ValueError, match="dose must be positive"):
+            scan_full_chip(model, m1, tile_nm=3000, process=ProcessWindow(**doses), jobs=jobs)
+        assert registry.counter(names.SCAN_TILES_QUARANTINED) == 0
+        assert registry.counter(names.SIM_BLUR_UNIQUE) == 0
+
+    def test_non_positive_dose_fails_before_the_sweep(self, fastpath_setup, registry):
+        _, model, m1 = fastpath_setup
+        with pytest.raises(ValueError, match="dose must be positive"):
+            find_hotspots(model, m1, Rect(0, 0, 1000, 800), process=ProcessWindow(dose_min=0.0))
+        assert registry.counter(names.SIM_BLUR_UNIQUE) == 0
 
 
 class TestScanFastPath:
