@@ -285,8 +285,7 @@ def scan_full_chip(
     Geometry is pre-binned into a spatial index so each tile touches
     only the rects inside its optical influence window, and each tile's
     corner sweep reuses one mask raster and one blurred image per unique
-    blur sigma, factored over the raster's runs of identical lines or,
-    for a raster with too many of them, an FFT (see
+    blur sigma, factored over the raster's runs of identical lines (see
     :class:`~repro.litho.model.SimCache`).  A negative ``grid`` raises
     ``ValueError`` before any tile runs, as building a
     :class:`ProcessWindow` with a non-positive dose does.  The report

@@ -69,7 +69,7 @@ def find_hotspots(
 
     The corner sweep runs through a :class:`~repro.litho.model.SimCache`
     (one rasterization, one blurred image per unique blur sigma: the
-    factored product over runs of identical lines, or the FFT), and each
+    factored product over runs of identical lines), and each
     corner's printed raster is classified on canonical slab arrays
     (:mod:`repro.geometry.slabarrays`) without becoming a region: one
     sweep intersects it with the drawn window, component labels and

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate1d, gaussian_filter
 
@@ -16,19 +15,7 @@ from repro.tech.technology import LithoSettings
 
 # unit roundoff of float64
 _U = float(np.finfo(np.float64).eps) / 2
-# bound on the normwise relative error one FFT adds per log2 of its length
-# (see LithoModel._blur_fft)
-_ETA = 8 * _U
-# The factored blur (LithoModel._blur_factored) runs when its work, counted
-# in multiply-adds, is at most this many times the FFT's P log2 P for a
-# P-pixel padded transform.  Both paths timed on synthetic rasters of k
-# distinct random lines in equal runs, at the 45 nm node's 80 nm-defocus
-# sigma (two-vCPU host, Python 3.11, NumPy 2.4, SciPy 1.17), broke even at
-# a work ratio of 2.0-2.2 on 180x260 rasters, 2.6-2.8 on 476x476, 3.2-3.6
-# on 716x756 (150-190 runs) and 3.1-3.6 on 446x446 at a 1 nm grid; at 2.5
-# the path taken is never more than about a quarter slower than the other.
-_FACTORED_PER_FFT = 2.5
-# output lines per block of the factored product
+# output lines per block of the factored product (LithoModel._blur_factored)
 _BLOCK = 32
 
 
@@ -49,32 +36,6 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
     return phi / phi.sum()
-
-
-def _fft_shape(shape: tuple[int, ...], reach: int, trim: int) -> tuple[int, int]:
-    """The padded grid :meth:`LithoModel._blur_fft` transforms a raster
-    of ``shape`` on: a fast length of at least ``n + reach - trim`` per
-    axis."""
-    return (
-        scipy.fft.next_fast_len(shape[0] + reach - trim, real=True),
-        scipy.fft.next_fast_len(shape[1] + reach - trim, real=True),
-    )
-
-
-def _separable_spectrum(taps: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The ``rfft2`` spectrum over a ``shape`` grid of the 2-D kernel
-    ``taps x taps`` centred on pixel (0, 0).
-
-    Taps that overrun a period fold onto it.  The taps are symmetric,
-    so the exact spectrum is real and only the real part is kept.
-    """
-    radius = len(taps) // 2
-    axes = []
-    for n, transform in zip(shape, (scipy.fft.fft, scipy.fft.rfft)):
-        wrapped = np.zeros(n)
-        np.add.at(wrapped, np.arange(-radius, radius + 1) % n, taps)
-        axes.append(transform(wrapped).real)
-    return np.multiply.outer(*axes)
 
 
 class LithoModel:
@@ -120,90 +81,13 @@ class LithoModel:
         wide = gaussian_filter(raster, sigma_px * self.flare_ratio, mode="constant")
         return (1.0 + self.flare) * main - self.flare * wide
 
-    def _blur_fft(
-        self, raster: np.ndarray, sigma_px: float, trim: int
-    ) -> tuple[np.ndarray, float]:
-        """:meth:`_blur` inside a ``trim``-pixel border, as one real 2-D
-        FFT convolution, and a bound ``delta`` on its distance from
-        :meth:`_blur`'s image at any pixel.
-
-        The raster is zero-padded to a fast FFT length of at least
-        ``n + reach - trim`` pixels per axis (``reach`` is the wider
-        kernel's tap radius), which keeps wrap-around out of every kept
-        pixel, and multiplied in the frequency domain by the rank-2
-        spectrum ``(1 + flare) * g[s] x g[s] - flare * g[ratio s] x
-        g[ratio s]``, ``g`` the 1-D spectrum of scipy's own taps
-        (:func:`_gaussian_taps`).
-
-        ``delta`` is derived, with ``u = 2**-53`` the unit roundoff,
-        ``K = 1 + 2 |flare|`` the kernel's L1 norm (the taps sum to 1),
-        ``L = log2(P0 * P1)`` for the FFT size ``P0 x P1``, and ``I``
-        the exact convolution of the raster with the float taps:
-
-        * FFT side.  A length-``P`` FFT has normwise relative error at
-          most ``eta * log2(P)``, ``eta = u + 4u (sqrt(2) + u)/(1 - 4u)``
-          (about 6.7u) for radix 2 (Higham, *Accuracy and Stability of
-          Numerical Algorithms*, Thm. 24.2); ``eta = 8u`` here covers the
-          radix-3/4/5 passes a fast length may use.  A 2-D transform
-          adds the two axes' errors: ``eta * L``.  The forward
-          transform, the spectrum (each 1-D spectrum entry is off by at
-          most ``eta * log2(P)`` times the taps' sum, so ``K`` entries by
-          ``K * eta * L``), and the inverse transform each add
-          ``eta * L * K * ||raster||_2`` to the 2-norm error of the
-          image (the unnormalised DFT scales 2-norms by ``sqrt(P0 P1)``
-          and the inverse divides it back out); the three products and
-          the ``1 / (P0 P1)`` scaling add ``5u`` more.  The real
-          transforms store half the spectrum, which costs at most a
-          ``sqrt(2)`` on each side.  A pixel's error is at most the
-          image's 2-norm error, so
-          ``|I_fft - I| <= 2 (3 eta L + 5u) K ||raster||_2``.
-        * scipy side.  Each of scipy's 1-D passes sums ``2r + 1`` tap
-          products per pixel over values of magnitude at most 1 (the
-          coverage, then a first pass's output), which errs by at most
-          ``gamma(2r + 1) = (2r + 1) u / (1 - (2r + 1) u)`` (its tap-sum
-          rounding).  Two passes per kernel and the three roundings of
-          the flare combination give, to first order in ``u``,
-          ``|I - I_scipy| <= K (2 gamma(2 reach + 1) + 3u)``.
-
-        ``delta`` is the sum of the two.  ``scipy.fft`` runs with its
-        default single worker, so pooled scans are not oversubscribed.
-        """
-        f = self.flare
-        main_taps = _gaussian_taps(sigma_px)
-        wide_taps = _gaussian_taps(sigma_px * self.flare_ratio)
-        reach = max(len(main_taps), len(wide_taps)) // 2
-        ny, nx = raster.shape
-        shape = _fft_shape(raster.shape, reach, trim)
-        kernel = (1.0 + f) * _separable_spectrum(main_taps, shape)
-        kernel -= f * _separable_spectrum(wide_taps, shape)
-        spectrum = scipy.fft.rfft2(raster, s=shape)
-        spectrum *= kernel
-        image = scipy.fft.irfft2(spectrum, s=shape, overwrite_x=True)
-        # a contiguous copy, so the padded buffers are freed
-        image = image[trim : ny - trim, trim : nx - trim].copy()
-
-        l1 = 1.0 + 2.0 * abs(f)
-        levels = math.log2(shape[0] * shape[1])
-        # einsum, not np.linalg.norm: a BLAS dot would wake BLAS threads
-        # that spin on the CPUs a pooled scan's other workers are using
-        norm = math.sqrt(np.einsum("ij,ij->", raster, raster))
-        fft_err = 2.0 * (3.0 * _ETA * levels + 5.0 * _U) * l1 * norm
-        return image, fft_err + self._scipy_error(reach)
-
-    def _scipy_error(self, reach: int) -> float:
-        """The bound on :meth:`_blur`'s distance from the exact
-        convolution with the float taps, ``reach`` the wider kernel's tap
-        radius (the scipy side of :meth:`_blur_fft`'s derivation)."""
-        return (1.0 + 2.0 * abs(self.flare)) * (2.0 * _gamma(2 * reach + 1) + 3.0 * _U)
-
     def _blur_factored(
         self, raster: np.ndarray, sigma_px: float, trim: int
-    ) -> tuple[np.ndarray, float] | None:
+    ) -> tuple[np.ndarray, float]:
         """:meth:`_blur` inside a ``trim``-pixel border as a sum of small
         products over the raster's runs of identical lines, and a bound
         ``delta`` on its distance from :meth:`_blur`'s image at any
-        pixel; or None when that would take more work than
-        :meth:`_blur_fft`.
+        pixel.
 
         A raster whose lines (rows, or columns when those have fewer
         runs) come in ``k`` non-empty runs of identical consecutive
@@ -229,40 +113,47 @@ class LithoModel:
         scans pin each worker to one CPU, and OpenBLAS's helper threads
         spin on it after every call.
 
-        The work estimate counts the product's multiply-adds (the
-        non-zeros of ``A`` times the output line length) and the
-        correlations' (distinct lines times line length times taps);
-        it must stay within ``_FACTORED_PER_FFT`` times the FFT's
-        ``P log2 P``.
+        The cost grows with the runs.  Drawn layout is cheap: a tile of
+        the benchmark's designs has at most 65 runs along its factored
+        axis.  A raster whose every line differs costs about a direct
+        separable convolution: about 100 ms at 716x756 pixels on a
+        two-vCPU host, where a padded 2-D FFT takes 20-30 ms.
 
-        ``delta`` is derived, to first order in the unit roundoff
-        ``u``, with ``gamma(m) = m u / (1 - m u)``.  Every quantity is
-        non-negative but the two kernel weights ``w`` (``1 + flare``
-        and ``-flare``): the taps sum to 1 and the coverage lies in
-        ``[0, 1]``, so every ``B`` entry and every row sum of ``A`` is
-        at most 1.  Per kernel, with ``n`` taps:
+        ``delta`` is derived to first order in the unit roundoff ``u``,
+        with ``gamma(m) = m u / (1 - m u)`` the bound of ``m``
+        roundings, ``K = 1 + 2 |flare|`` the kernel's L1 norm (the taps
+        sum to 1) and ``I`` the exact convolution of the raster with
+        the float taps:
 
-        * ``C`` is a running sum of at most ``n`` taps, each entry off
-          by at most ``gamma(n)``; an ``A`` entry is the difference of
-          two, off by at most ``2 gamma(n)`` plus one rounding of
-          itself.  A row of ``A`` has at most ``k`` non-zero entries
-          (an entry out of reach clips both indices to one end and is
-          exactly 0), so the ``A`` errors move a pixel by at most ``2 k
-          gamma(n) + u``.
-        * Adding the columns of runs that share a line is a sum of at
-          most ``k`` non-negative terms: ``gamma(k)``.  The weight's
-          product: ``u``.
-        * A ``B`` entry sums ``n`` tap products over values of at most
-          1 (scipy's pass, as below): off by at most ``gamma(n)``,
-          which ``A``'s row sum (at most 1) carries to the pixel.
+        * Product side.  Every quantity is non-negative but the two
+          kernel weights ``w`` (``1 + flare`` and ``-flare``): the taps
+          sum to 1 and the coverage lies in ``[0, 1]``, so every ``B``
+          entry and every row sum of ``A`` is at most 1.  Per kernel,
+          with ``n`` taps: ``C`` is a running sum of at most ``n`` taps,
+          each entry off by at most ``gamma(n)``; an ``A`` entry is the
+          difference of two, off by at most ``2 gamma(n)`` plus one
+          rounding of itself.  A row of ``A`` has at most ``k`` non-zero
+          entries (an entry out of reach clips both indices to one end
+          and is exactly 0), so the ``A`` errors move a pixel by at most
+          ``2 k gamma(n) + u``.  Adding the columns of runs that share a
+          line is a sum of at most ``k`` non-negative terms:
+          ``gamma(k)``; the weight's product: ``u``.  A ``B`` entry sums
+          ``n`` tap products over values of at most 1 (as scipy's pass
+          below): off by at most ``gamma(n)``, which ``A``'s row sum
+          carries to the pixel.  So a kernel's terms err by at most
+          ``|w| (2 k gamma(n) + gamma(n) + gamma(k) + 2u)``.  Each pixel
+          then sums the ``M`` products of its block's columns (both
+          kernels, ``M`` at most twice the distinct lines) in some
+          order, which adds at most ``gamma(M) K``.
+        * scipy side.  Each of scipy's 1-D passes sums ``2r + 1`` tap
+          products per pixel over values of magnitude at most 1 (the
+          coverage, then a first pass's output), which errs by at most
+          ``gamma(2r + 1)`` (its tap-sum rounding).  Two passes per
+          kernel and the three roundings of the flare combination give
+          ``|I - I_scipy| <= K (2 gamma(2 reach + 1) + 3u)``, ``reach``
+          the wider kernel's tap radius.
 
-        So a kernel's terms err by at most ``|w| (2 k gamma(n) +
-        gamma(n) + gamma(k) + 2u)``.  Each pixel then sums the ``M``
-        products of its block's columns (both kernels, ``M`` at most
-        twice the distinct lines) in some order, which adds at most
-        ``gamma(M) K`` for the kernel's L1 norm ``K = 1 + 2 |flare|``.
-        ``delta`` is the two kernels' terms, that sum's, and the scipy
-        side of :meth:`_blur_fft`'s derivation.
+        ``delta`` is the sum of the two.
         """
         f = self.flare
         kernels = (
@@ -288,17 +179,8 @@ class LithoModel:
         )
         distinct = content[np.unique(line_of, return_index=True)[1]]
 
-        work = 0
-        for _, taps in kernels:
-            r = len(taps) // 2
-            rows = np.minimum(ends + r, n0 - trim) - np.maximum(starts - r, trim)
-            work += m1 * int(np.maximum(rows, 0).sum()) + n1 * len(distinct) * len(taps)
-        shape = _fft_shape(raster.shape, reach, trim)
-        pixels = shape[0] * shape[1]
-        if work > _FACTORED_PER_FFT * pixels * math.log2(pixels):
-            return None
-
-        err = self._scipy_error(reach)
+        l1 = 1.0 + 2.0 * abs(f)
+        err = l1 * (2.0 * _gamma(2 * reach + 1) + 3.0 * _U)
         if k == 0:
             return np.zeros((raster.shape[0] - 2 * trim, raster.shape[1] - 2 * trim)), err
         by_line = np.argsort(line_of, kind="stable")
@@ -330,7 +212,7 @@ class LithoModel:
             terms = max(terms, len(used))
             # a block out of every run's reach sums no terms: zeros
             np.einsum("ci,cj->ij", block[used], b[used], out=image[i0 : i0 + _BLOCK])
-        err += _gamma(terms) * (1.0 + 2.0 * abs(f))
+        err += _gamma(terms) * l1
         if transpose:
             image = np.ascontiguousarray(image.T)
         return image, err
@@ -445,11 +327,9 @@ class SimCache:
       halo's own edge, so it is rasterized once per halo instead;
     * the aerial image depends only on the blur sigma — ±defocus
       collapse under ``hypot``, so the cache computes one intensity
-      image per unique sigma: a product over the raster's runs of
-      identical lines (:meth:`LithoModel._blur_factored`) when the
-      raster has few enough of them, else one 2-D FFT convolution
-      (:meth:`LithoModel._blur_fft`); ``sim.blur_unique`` counts the
-      images and ``sim.blur_factored`` the products among them;
+      image per unique sigma, a product over the raster's runs of
+      identical lines (:meth:`LithoModel._blur_factored`), counted by
+      ``sim.blur_unique``;
     * dose only scales the resist threshold — thresholding a cached
       aerial image is nearly free.
 
@@ -484,8 +364,8 @@ class SimCache:
         self._raster: np.ndarray | None = None
         self._raster_halo_px = 0
         self._images: dict[float, np.ndarray] = {}  # blur sigma (nm) -> scipy image
-        # blur sigma (nm) -> (certified image, its error bound, factored?)
-        self._certified: dict[float, tuple[np.ndarray, float, bool]] = {}
+        # blur sigma (nm) -> (certified image, its error bound)
+        self._certified: dict[float, tuple[np.ndarray, float]] = {}
         if defocus_hint:
             self._raster_halo_px = max(
                 model._halo_px(d, self.grid) for d in defocus_hint
@@ -526,40 +406,33 @@ class SimCache:
             get_registry().inc(names.SIM_BLUR_UNIQUE)
         return image
 
-    def _certified_image(self, defocus_nm: float) -> tuple[np.ndarray, float, bool]:
-        """The intensity image over the window, its error bound, and
-        whether it is the factored product (else the FFT image)."""
+    def _certified_image(self, defocus_nm: float) -> tuple[np.ndarray, float]:
+        """The factored intensity image over the window and its error
+        bound (:meth:`LithoModel._blur_factored`)."""
         sigma = self.model.blur_sigma_nm(defocus_nm)
         entry = self._certified.get(sigma)
         if entry is None:
-            registry = get_registry()
             trim = self.model._halo_px(defocus_nm, self.grid)
             raster = self._raster_for(trim)
-            blurred = self.model._blur_factored(raster, sigma / self.grid, trim)
-            if blurred is None:
-                entry = (*self.model._blur_fft(raster, sigma / self.grid, trim), False)
-            else:
-                entry = (*blurred, True)
-                registry.inc(names.SIM_BLUR_FACTORED)
+            entry = self.model._blur_factored(raster, sigma / self.grid, trim)
             self._certified[sigma] = entry
-            registry.inc(names.SIM_BLUR_UNIQUE)
+            get_registry().inc(names.SIM_BLUR_UNIQUE)
         return entry
 
     def print_image(self, dose: float = 1.0, defocus_nm: float = 0.0) -> np.ndarray:
         """Boolean printed raster at the given process condition;
         bit-identical to :meth:`LithoModel.print_image`.
 
-        Pixels are thresholded on the certified image (the factored
-        product or the FFT image).  One whose intensity there lies
-        within the image's error bound of the cut
-        ``resist_threshold / dose`` could decide either way; if there
-        are any, their decisions come from the scipy image
-        (:meth:`aerial_image`) and the condition counts one
+        Pixels are thresholded on the certified image, the factored
+        product.  One whose intensity there lies within the image's
+        error bound of the cut ``resist_threshold / dose`` could decide
+        either way; if there are any, their decisions come from the
+        scipy image (:meth:`aerial_image`) and the condition counts one
         ``sim.exact_fallback``.
         """
         if dose <= 0:
             raise ValueError("dose must be positive")
-        image, delta, _ = self._certified_image(defocus_nm)
+        image, delta = self._certified_image(defocus_nm)
         threshold = self.model.settings.resist_threshold
         cut = threshold / dose
         # widened by a few ulps of the cut for the rounding of ``cut``

@@ -87,10 +87,9 @@ def sweep_contours(
     <repro.litho.model.SimCache>`.
 
     The sweep rasterizes the mask once and computes one certified
-    intensity image per unique blur sigma (±defocus share one): a
-    product over the raster's runs of identical lines when it has few
-    of them, else an FFT convolution.  A five-corner set costs 1
-    rasterization + 2 blurred images and a 5x3
+    intensity image per unique blur sigma (±defocus share one), a
+    product over the raster's runs of identical lines.  A five-corner
+    set costs 1 rasterization + 2 blurred images and a 5x3
     :meth:`ProcessWindow.grid` sweep costs 1 + 3 (instead of 15
     rasterizations + 30 Gaussian filters).  Every contour is
     bit-identical to one independent :meth:`LithoModel.print_contour

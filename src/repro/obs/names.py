@@ -106,12 +106,9 @@ SCAN_TILE_SECONDS_HIST = "scan.tile_seconds"
 SIM_RASTER_REUSE = "sim.raster_reuse"
 # One per unique-sigma intensity image a SimCache computes.
 SIM_BLUR_UNIQUE = "sim.blur_unique"
-# One per such image computed as the factored product over the raster's
-# runs of identical lines rather than by FFT.
-SIM_BLUR_FACTORED = "sim.blur_factored"
-# One per process condition whose FFT image left some pixel within its
-# error bound of the threshold, so those pixels were decided from the
-# scipy image instead.
+# One per process condition whose certified image (the factored product)
+# left some pixel within its error bound of the threshold, so those pixels
+# were decided from the scipy image instead.
 SIM_EXACT_FALLBACK = "sim.exact_fallback"
 
 # -- DRC engine (repro.drc.engine) ------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.designgen import LogicBlockSpec, generate_logic_block, generate_sram_array
 from repro.geometry import Rect, Region
@@ -166,9 +166,9 @@ def print_cases(draw):
 
 @st.composite
 def blur_cases(draw):
-    """A soup of a few rects (few runs of identical lines: the factored
-    product) or of many small ones (a new line at nearly every pixel:
-    the FFT), a window, a grid and a defocus."""
+    """A soup of a few rects (few runs of identical lines) or of many
+    small ones (a new line at nearly every pixel), a window, a grid and
+    a defocus."""
     grid = draw(st.sampled_from([2, 4, 5, 8]))
     many = draw(st.booleans())
     side = st.integers(2, 12) if many else st.integers(8, 240)
@@ -182,9 +182,9 @@ def blur_cases(draw):
 
 
 class TestCertifiedPrint:
-    """SimCache.print_image thresholds a blurred image (the factored
-    product or the FFT), certified against the scipy image: every
-    printed pixel must still match the model."""
+    """SimCache.print_image thresholds the factored image, certified
+    against the scipy image: every printed pixel must still match the
+    model."""
 
     @given(print_cases())
     @settings(max_examples=40, deadline=None)
@@ -213,7 +213,6 @@ class TestCertifiedPrint:
     def test_designs_need_no_fallback(self, tech45, stdlib45, litho45, registry):
         # a quick-size logic block and an SRAM window: no pixel comes
         # near the error bound, which sits far above the observed error
-        # (the factored product's bound is the tighter of the two)
         spec = LogicBlockSpec(rows=2, row_width_nm=6000, net_count=8, weak_spots=4, seed=7)
         block = generate_logic_block(tech45, spec, stdlib45).top
         sram = generate_sram_array(tech45, rows=12, cols=12).top_cell()
@@ -230,9 +229,9 @@ class TestCertifiedPrint:
             )
             for c in corners:
                 sim.print_image(c.dose, c.defocus_nm)
-                image, delta, factored = sim._certified_image(c.defocus_nm)
+                image, delta = sim._certified_image(c.defocus_nm)
                 error = np.abs(image - sim.aerial_image(c.defocus_nm)).max()
-                assert error * (100 if factored else 1000) <= delta
+                assert error * 100 <= delta
         assert registry.counter(names.SIM_BLUR_UNIQUE) > 0
         assert registry.counter(names.SIM_EXACT_FALLBACK) == 0
 
@@ -267,18 +266,17 @@ def _pattern(kind: str, window: Rect, margin: int, grid: int) -> Region:
 
 class TestFactoredBlur:
     """SimCache's unique-sigma images come from the factored product
-    over the raster's runs of identical lines when that is cheaper than
-    the FFT, and from the FFT otherwise; either way every printed pixel
-    matches the model and the image lies within its bound of scipy's."""
+    over the raster's runs of identical lines, along whichever axis has
+    fewer of them: every printed pixel matches the model and the image
+    lies within its bound of scipy's, for few runs or a new line at
+    every pixel."""
 
     conditions = (ProcessCondition(1.0, 0.0), ProcessCondition(0.95, 80.0))
 
     @pytest.mark.parametrize("grid", [1, 4, 5, 8])
     @pytest.mark.parametrize("aligned", [True, False])
-    @pytest.mark.parametrize(
-        "kind, factored", [("rows", True), ("columns", True), ("every", False)]
-    )
-    def test_path_and_print(self, litho45, registry, grid, aligned, kind, factored):
+    @pytest.mark.parametrize("kind", ["rows", "columns", "every"])
+    def test_print_and_bound(self, litho45, registry, grid, aligned, kind):
         size = 40 * grid
         window = Rect(0, 0, size, size) if aligned else Rect(3, -2, size + 5, size - 1)
         margin = litho45.halo_nm(80.0) + 2 * grid
@@ -289,23 +287,20 @@ class TestFactoredBlur:
                 sim.print_image(c.dose, c.defocus_nm),
                 litho45.print_image(mask, window, c.dose, c.defocus_nm, grid),
             )
-        # the two sigmas' images, both from the expected path
-        assert registry.counter(names.SIM_BLUR_FACTORED) == (2 if factored else 0)
-        for c in self.conditions:
-            image, delta, path = sim._certified_image(c.defocus_nm)
-            assert path is factored
+            image, delta = sim._certified_image(c.defocus_nm)
             assert image.flags.c_contiguous
-            # the bound holds with the margins test_designs_need_no_fallback
-            # asks of each path
+            # the margin test_designs_need_no_fallback asks of the bound
             error = np.abs(image - sim.aerial_image(c.defocus_nm)).max()
-            assert error * (100 if factored else 1000) <= delta
+            assert error * 100 <= delta
         raster = sim._raster_for(litho45._halo_px(80.0, grid))
         row_runs = 1 + np.count_nonzero(np.any(raster[1:] != raster[:-1], axis=1))
         column_runs = 1 + np.count_nonzero(np.any(raster[:, 1:] != raster[:, :-1], axis=0))
-        if kind == "columns":
+        if kind == "columns":  # factored along columns, then transposed back
             assert column_runs < row_runs
         elif kind == "rows":
             assert row_runs < column_runs
+        else:
+            assert min(row_runs, column_runs) == min(raster.shape)
 
     def test_lines_out_of_reach_are_zero(self, litho45, registry):
         # one square in a corner of a wide window: most product blocks
@@ -313,22 +308,22 @@ class TestFactoredBlur:
         window = Rect(0, 0, 2400, 2000)
         mask = Region(Rect(-100, -100, 60, 60))
         sim = litho45.sim_cache(mask, window, 8)
-        image, delta, factored = sim._certified_image(0.0)
-        assert factored and image.shape == (250, 300)
+        image, delta = sim._certified_image(0.0)
+        assert image.shape == (250, 300)
         assert not image[100:, :].any() and not image[:, 100:].any()
         assert np.abs(image - sim.aerial_image(0.0)).max() <= delta
         assert np.array_equal(sim.print_image(), litho45.print_image(mask, window, grid=8))
 
-    def test_empty_window_is_factored(self, litho45, registry):
+    def test_empty_window_is_zero(self, litho45, registry):
         sim = litho45.sim_cache(Region(), Rect(0, 0, 400, 400))
-        image, delta, factored = sim._certified_image(0.0)
-        assert factored and not image.any() and delta > 0
+        image, delta = sim._certified_image(0.0)
+        assert not image.any() and delta > 0
         assert not sim.print_image().any()
-        assert registry.counter(names.SIM_BLUR_FACTORED) == 1
+        assert registry.counter(names.SIM_BLUR_UNIQUE) == 1
 
     @given(blur_cases())
-    @example((Region(Rect(-100, -60, 140, 20)), Rect(0, 0, 120, 80), 4, 0.0))  # factored
-    @example(  # scattered small squares: the FFT
+    @example((Region(Rect(-100, -60, 140, 20)), Rect(0, 0, 120, 80), 4, 0.0))  # few runs
+    @example(  # scattered small squares: a new line at nearly every pixel
         (
             Region(
                 [
@@ -342,11 +337,10 @@ class TestFactoredBlur:
         )
     )
     @settings(max_examples=30, deadline=None)
-    def test_bound_holds_on_both_paths(self, litho45, case):
+    def test_bound_holds(self, litho45, case):
         mask, window, grid, defocus = case
         sim = litho45.sim_cache(mask, window, grid)
-        image, delta, factored = sim._certified_image(defocus)
-        event("factored" if factored else "fft")
+        image, delta = sim._certified_image(defocus)
         assert np.abs(image - sim.aerial_image(defocus)).max() <= delta
 
 
@@ -406,24 +400,17 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="at least one process condition"):
             pv_bands(model, m1, Rect(0, 0, 1000, 800), conditions=[])
 
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
         "doses", [{"dose_min": 0.0}, {"dose_min": -0.1}, {"dose_max": 0.0}]
     )
-    def test_non_positive_dose_fails_the_scan_instead_of_quarantining(
-        self, fastpath_setup, registry, jobs, doses
-    ):
-        _, model, m1 = fastpath_setup
+    def test_non_positive_dose_rejected(self, doses):
         with pytest.raises(ValueError, match="dose must be positive"):
-            scan_full_chip(model, m1, tile_nm=3000, process=ProcessWindow(**doses), jobs=jobs)
-        assert registry.counter(names.SCAN_TILES_QUARANTINED) == 0
-        assert registry.counter(names.SIM_BLUR_UNIQUE) == 0
+            ProcessWindow(**doses)
 
-    def test_non_positive_dose_fails_before_the_sweep(self, fastpath_setup, registry):
+    def test_non_positive_dose_fails_the_scan_instead_of_quarantining(self, fastpath_setup):
         _, model, m1 = fastpath_setup
         with pytest.raises(ValueError, match="dose must be positive"):
-            find_hotspots(model, m1, Rect(0, 0, 1000, 800), process=ProcessWindow(dose_min=0.0))
-        assert registry.counter(names.SIM_BLUR_UNIQUE) == 0
+            scan_full_chip(model, m1, tile_nm=3000, process=ProcessWindow(dose_min=0.0))
 
 
 class TestScanFastPath:
