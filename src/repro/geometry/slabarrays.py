@@ -29,7 +29,8 @@ Every operation here reads and writes that form:
   intervals).  :func:`opened` is the separable opening
   :meth:`Region.opened <repro.geometry.Region.opened>` derives.
 * :func:`label` finds 4-connected components by min-hooking and pointer
-  jumping over the edges between x-adjacent slabs; with
+  jumping (:func:`link`, which also joins the hotspot merge's touching
+  markers) over the edges between x-adjacent slabs; with
   :func:`locate`, :func:`extents` and :func:`select` it answers
   per-component questions without building a region per component.
 * :func:`meets` and :func:`covers` answer a batch of box queries, the
@@ -597,7 +598,20 @@ def label(slabs: Slabs) -> tuple[np.ndarray, int]:
     count = key0.searchsorted(base + y1[u], "left") - first
     u = u.repeat(count)
     v = (first - (count.cumsum() - count)).repeat(count) + np.arange(len(u))
-    parent = np.arange(total)
+    parent = link(np.arange(total), u, v)
+    root = parent == np.arange(total)
+    return (root.cumsum() - 1)[parent], int(np.count_nonzero(root))
+
+
+def link(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Join components across the edges ``(u, v)``.
+
+    ``parent`` maps every node to its component's root, the smallest
+    node in it (``np.arange`` when every node stands alone); so does the
+    result, and ``parent`` may be updated in place.  Each round hooks
+    every root onto the smallest root it has an edge to, then jumps
+    pointers until every node points at its root.
+    """
     while len(u):
         ru, rv = parent[u], parent[v]
         apart = ru != rv
@@ -610,8 +624,7 @@ def label(slabs: Slabs) -> tuple[np.ndarray, int]:
             if np.array_equal(up, parent):
                 break
             parent = up
-    root = parent == np.arange(total)
-    return (root.cumsum() - 1)[parent], int(np.count_nonzero(root))
+    return parent
 
 
 def locate(slabs: Slabs, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.geometry import GridIndex, Rect, Region, slabarrays
+from repro.geometry import Rect, Region, slabarrays
 from repro.litho.model import LithoModel
 from repro.litho.process import ProcessCondition, ProcessWindow, _sweep_masks
 
@@ -68,13 +68,14 @@ def find_hotspots(
     and filtering them keeps results window- and tiling-invariant.
 
     The corner sweep runs through a :class:`~repro.litho.model.SimCache`
-    (one rasterization, one blurred image per unique blur sigma: the
-    factored product over runs of identical lines), and each
-    corner's printed raster is classified on canonical slab arrays
-    (:mod:`repro.geometry.slabarrays`) without becoming a region: one
-    sweep intersects it with the drawn window, component labels and
-    point location stand in for per-component regions, and the
-    cross-corner merge is bbox-indexed.  A site seen at several corners
+    (one raster, held as its constant cells, and one blurred image per
+    unique blur sigma: the factored product over runs of identical
+    lines), and each corner's printed raster is classified on canonical
+    slab arrays (:mod:`repro.geometry.slabarrays`) without becoming a
+    region: one sweep intersects it with the drawn window, component
+    labels and point location stand in for per-component regions, and
+    the cross-corner merge closes its clusters in arrays
+    (:func:`_merge_across_corners`).  A site seen at several corners
     reports the first corner, in :meth:`ProcessWindow.corners` order,
     that reaches its worst severity.  ``tests/litho_reference.py`` holds
     the reference engine this must agree with: one independent
@@ -108,45 +109,141 @@ def _merge_across_corners(raw: list[Hotspot]) -> list[Hotspot]:
     (the same physical site seen at several corners); keep the worst.
 
     Clustering is the closure of "touches the cluster's growing bounding
-    box (expanded by 1)" — a bbox-indexed frontier walk, so merging n
-    markers costs near-linear index queries instead of the O(n²)
-    pairwise rescans the naive loop needs.  The merged hotspot takes
-    the severity and condition of its worst member; members that tie
-    on severity go to the one earliest in ``raw``, so the result does
-    not depend on the order the walk gathers them.
+    box (expanded by 1)", walked seed by seed in ``raw`` order, as the
+    reference engine's pairwise rescan does.  Per kind, it is closed in
+    arrays (:func:`_clusters`): touching markers link into chains,
+    chains whose bounding boxes touch join into groups, a group of one
+    chain is one cluster, and only a group of several chains runs the
+    walk, over its own members.  Each cluster's box is a reduction.
+    The merged hotspot takes the severity and condition of its worst
+    member; members that tie on severity go to the one earliest in
+    ``raw``.  Clusters are listed by kind (in order of first
+    appearance), then by seed, before the final sort.
     """
     out: list[Hotspot] = []
     by_kind: dict[HotspotKind, list[Hotspot]] = {}
     for h in raw:
         by_kind.setdefault(h.kind, []).append(h)
-    buf: list[int] = []
     for kind, group in by_kind.items():
-        index: GridIndex[int] = GridIndex(cell_size=512)
-        for i, h in enumerate(group):
-            index.insert(h.marker, i)
-        claimed = [False] * len(group)
-        for seed in range(len(group)):
-            if claimed[seed]:
-                continue
-            claimed[seed] = True
-            cluster = [seed]
-            marker = group[seed].marker
-            changed = True
-            while changed:
-                changed = False
-                # query == "bbox touches the probe window", exactly the
-                # reference's absorption test, so the closure is identical
-                for j in index.query_into(marker.expanded(1), buf):
-                    if not claimed[j]:
-                        claimed[j] = True
-                        cluster.append(j)
-                        marker = marker.union_bbox(group[j].marker)
-                        changed = True
-            # a kind's group keeps raw order, so its index breaks ties
-            worst = group[min(cluster, key=lambda i: (-group[i].severity, i))]
-            out.append(Hotspot(kind, marker, worst.severity, worst.condition))
+        boxes = np.array([h.marker.as_tuple() for h in group], dtype=np.int64)
+        seed = _clusters(*boxes.T)
+        # severities are areas in nm² (or quarters of them), far below
+        # 2**53: float64 orders them exactly
+        severity = np.array([h.severity for h in group], dtype=np.float64)
+        # by seed, worst first, earliest first among ties
+        order = np.lexsort((np.arange(len(group)), -severity, seed))
+        starts = np.flatnonzero(np.concatenate(([True], np.diff(seed[order]) != 0)))
+        x0, y0 = (np.minimum.reduceat(boxes[order, k], starts).tolist() for k in (0, 1))
+        x1, y1 = (np.maximum.reduceat(boxes[order, k], starts).tolist() for k in (2, 3))
+        for w, *box in zip(order[starts].tolist(), x0, y0, x1, y1):
+            out.append(Hotspot(kind, Rect(*box), group[w].severity, group[w].condition))
     out.sort(key=lambda h: (-h.severity, h.marker.as_tuple()))
     return out
+
+
+# candidate pairs one block of the touching-pair sweep expands
+_PAIRS_AT = 1 << 18
+_BIG = np.iinfo(np.int64)
+
+
+def _linked(
+    parent: np.ndarray, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray
+) -> np.ndarray:
+    """``parent`` (:func:`repro.geometry.slabarrays.link`) with every two
+    boxes that come within 1 nm of each other linked: the walk's own
+    test, ``a.expanded(1).touches(b)``, closed.
+
+    An x0-sorted sweep: a box's candidates are the boxes after it in x0
+    order that start by its ``x1 + 1``, and a candidate touches it when
+    the y-ranges come within 1 nm as well.  Candidates are expanded in
+    blocks of about ``_PAIRS_AT`` pairs.
+    """
+    order = np.argsort(x0, kind="stable")
+    n = len(order)
+    count = x0[order].searchsorted(x1[order] + 1, "right") - np.arange(1, n + 1)
+    ends = count.cumsum()
+    lo = 0
+    while lo < n:
+        hi = max(int(ends.searchsorted(ends[lo] - count[lo] + _PAIRS_AT, "right")), lo + 1)
+        c = count[lo:hi]
+        first = np.arange(lo, hi).repeat(c)
+        second = first + 1 + np.arange(len(first)) - (c.cumsum() - c).repeat(c)
+        u, v = order[first], order[second]
+        near = (y0[v] <= y1[u] + 1) & (y0[u] <= y1[v] + 1)
+        parent = slabarrays.link(parent, u[near], v[near])
+        lo = hi
+    return parent
+
+
+def _clusters(x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """The cluster of each marker under the merge's walk, as its seed:
+    the cluster's first marker.
+
+    * Touching markers (:func:`_linked`) link into chains.
+    * Chains whose bounding boxes touch join into groups, until no two
+      groups' boxes touch.  Every cluster lies inside one group: a
+      marker the walk absorbs touches the cluster's box, and that box
+      lies inside the group's box.
+    * A group that is one chain is one cluster: from the group's first
+      marker the walk absorbs the chain, pair by touching pair.
+    * A group of several chains is one where bbox growth reaches a
+      marker that touches no member, so raw order decides the
+      clusters: only there the walk runs (:func:`_walk`), over the
+      group's members.
+    """
+    n = len(x0)
+    chain = _linked(np.arange(n), x0, y0, x1, y1)
+    group = chain
+    while True:
+        ids, member = np.unique(group, return_inverse=True)
+        k = len(ids)
+        bx0, by0 = np.full(k, _BIG.max), np.full(k, _BIG.max)
+        bx1, by1 = np.full(k, _BIG.min), np.full(k, _BIG.min)
+        np.minimum.at(bx0, member, x0)
+        np.minimum.at(by0, member, y0)
+        np.maximum.at(bx1, member, x1)
+        np.maximum.at(by1, member, y1)
+        joined = _linked(np.arange(k), bx0, by0, bx1, by1)
+        if np.array_equal(joined, np.arange(k)):
+            break
+        group = ids[joined][member]
+    seed = group.copy()
+    chains = np.bincount(group[chain == np.arange(n)], minlength=n)
+    for g in np.flatnonzero(chains > 1).tolist():
+        members = np.flatnonzero(group == g)
+        seed[members] = members[_walk(x0[members], y0[members], x1[members], y1[members])]
+    return seed
+
+
+def _walk(x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """The merge's frontier walk over a few markers in raw order: each
+    marker's seed, as an index into them.  Each unclaimed seed claims
+    every unclaimed marker within 1 nm of its cluster's growing box,
+    until none is left."""
+    seed = np.full(len(x0), -1)
+    for s in range(len(x0)):
+        if seed[s] >= 0:
+            continue
+        seed[s] = s
+        box = (x0[s], y0[s], x1[s], y1[s])
+        while True:
+            hit = (
+                (seed < 0)
+                & (x0 <= box[2] + 1)
+                & (x1 >= box[0] - 1)
+                & (y0 <= box[3] + 1)
+                & (y1 >= box[1] - 1)
+            )
+            if not hit.any():
+                break
+            seed[hit] = s
+            box = (
+                min(box[0], x0[hit].min()),
+                min(box[1], y0[hit].min()),
+                max(box[2], x1[hit].max()),
+                max(box[3], y1[hit].max()),
+            )
+    return seed
 
 
 def _min_feature_width(region: Region) -> int:

@@ -9,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate1d, gaussian_filter
 
 from repro.geometry import Rect, Region
-from repro.litho.raster import raster_to_region, rasterize
+from repro.litho.raster import Cells, Runs, raster_cells, raster_to_region, rasterize
 from repro.obs import get_registry, names
 from repro.tech.technology import LithoSettings
 
@@ -82,12 +82,13 @@ class LithoModel:
         return (1.0 + self.flare) * main - self.flare * wide
 
     def _blur_factored(
-        self, raster: np.ndarray, sigma_px: float, trim: int
+        self, runs: Runs, sigma_px: float, trim: int
     ) -> tuple[np.ndarray, float]:
         """:meth:`_blur` inside a ``trim``-pixel border as a sum of small
-        products over the raster's runs of identical lines, and a bound
-        ``delta`` on its distance from :meth:`_blur`'s image at any
-        pixel.
+        products over a raster's maximal runs of identical lines
+        (:meth:`Cells.runs <repro.litho.raster.Cells.runs>`, read off
+        the raster's cells), and a bound ``delta`` on its distance from
+        :meth:`_blur`'s image at any pixel.
 
         A raster whose lines (rows, or columns when those have fewer
         runs) come in ``k`` non-empty runs of identical consecutive
@@ -161,15 +162,10 @@ class LithoModel:
             (-f, _gaussian_taps(sigma_px * self.flare_ratio)),
         )
         reach = max(len(taps) for _, taps in kernels) // 2
-        new_row = np.any(raster[1:] != raster[:-1], axis=1)
-        new_col = np.any(raster[:, 1:] != raster[:, :-1], axis=0)
-        transpose = np.count_nonzero(new_col) < np.count_nonzero(new_row)
-        lines, new = (raster.T, new_col) if transpose else (raster, new_row)
-        n0, n1 = lines.shape
+        transpose, starts, content, n0 = runs
+        n1 = content.shape[1]
         m0, m1 = n0 - 2 * trim, n1 - 2 * trim
-        starts = np.flatnonzero(np.concatenate(([True], new)))
         ends = np.append(starts[1:], n0)
-        content = np.ascontiguousarray(lines[starts])
         filled = content.any(axis=1)  # an empty run adds nothing
         starts, ends, content = starts[filled], ends[filled], content[filled]
         k = len(starts)
@@ -182,7 +178,7 @@ class LithoModel:
         l1 = 1.0 + 2.0 * abs(f)
         err = l1 * (2.0 * _gamma(2 * reach + 1) + 3.0 * _U)
         if k == 0:
-            return np.zeros((raster.shape[0] - 2 * trim, raster.shape[1] - 2 * trim)), err
+            return np.zeros((m1, m0) if transpose else (m0, m1)), err
         by_line = np.argsort(line_of, kind="stable")
         groups = np.searchsorted(line_of[by_line], np.arange(len(distinct)))
         factors, lined = [], []
@@ -249,8 +245,11 @@ class LithoModel:
         defocus_nm: float = 0.0,
         grid: int | None = None,
     ) -> np.ndarray:
-        """Boolean printed raster at the given process condition."""
-        if dose <= 0:
+        """Boolean printed raster at the given process condition.
+
+        ``dose`` must be a positive number: ``ValueError`` otherwise,
+        NaN included."""
+        if not dose > 0:
             raise ValueError("dose must be positive")
         image = self.aerial_image(mask, window, defocus_nm, grid)
         return image * dose >= self.settings.resist_threshold
@@ -296,9 +295,12 @@ class LithoModel:
 
         Simulates a small strip window around the cut (``reach_nm`` each
         way along the cut direction) — cheap enough for dose/focus sweeps.
+        ``dose`` must be a positive number, as for :meth:`print_image`.
         """
         from repro.litho.cd import subpixel_cd
 
+        if not dose > 0:
+            raise ValueError("dose must be positive")
         g = grid or self.settings.grid_nm
         x, y = cut.at.x, cut.at.y
         if cut.horizontal:
@@ -318,17 +320,20 @@ class SimCache:
     expensive work depends on far fewer degrees of freedom:
 
     * the mask raster depends only on the window and grid — the cache
-      rasterizes once, at the widest halo requested, and serves every
-      narrower halo as a centred slice when the window is a whole number
-      of pixels on both axes (exact, because
-      :func:`repro.litho.raster.rasterize` accumulates integer areas,
-      making rasters slice-invariant across pixel-aligned windows); an
-      unaligned window clips its last pixel row and column at each
-      halo's own edge, so it is rasterized once per halo instead;
+      holds it as its constant cells (:class:`repro.litho.raster.Cells`,
+      never the pixel array), built once at the widest halo requested,
+      and serves every narrower halo by trimming those cells when the
+      window is a whole number of pixels on both axes (exact, because
+      :func:`repro.litho.raster.raster_cells` accumulates integer
+      areas, making rasters slice-invariant across pixel-aligned
+      windows); an unaligned window clips its last pixel row and column
+      at each halo's own edge, so its cells are built once per halo
+      instead;
     * the aerial image depends only on the blur sigma — ±defocus
       collapse under ``hypot``, so the cache computes one intensity
       image per unique sigma, a product over the raster's runs of
-      identical lines (:meth:`LithoModel._blur_factored`), counted by
+      identical lines, which the cells hand over without a pixel scan
+      (:meth:`LithoModel._blur_factored`), counted by
       ``sim.blur_unique``;
     * dose only scales the resist threshold — thresholding a cached
       aerial image is nearly free.
@@ -340,8 +345,8 @@ class SimCache:
     methods: :meth:`print_image` certifies each pixel's threshold
     decision against the image's error bound and takes the few it
     cannot certify from the scipy image — asserted by the fast-path
-    equivalence tests.  :meth:`aerial_image` stays the scipy image,
-    bit-identical to :meth:`LithoModel.aerial_image`.
+    equivalence tests.  :meth:`aerial_image` stays the scipy image of
+    the expanded cells, bit-identical to :meth:`LithoModel.aerial_image`.
     """
 
     def __init__(
@@ -361,35 +366,31 @@ class SimCache:
         self._aligned = (window.x1 - window.x0) % self.grid == 0 and (
             window.y1 - window.y0
         ) % self.grid == 0
-        self._raster: np.ndarray | None = None
-        self._raster_halo_px = 0
+        self._cells: Cells | None = None
+        self._cells_halo_px = 0
         self._images: dict[float, np.ndarray] = {}  # blur sigma (nm) -> scipy image
         # blur sigma (nm) -> (certified image, its error bound)
         self._certified: dict[float, tuple[np.ndarray, float]] = {}
         if defocus_hint:
-            self._raster_halo_px = max(
+            self._cells_halo_px = max(
                 model._halo_px(d, self.grid) for d in defocus_hint
             )
 
-    def _raster_for(self, halo_px: int) -> np.ndarray:
-        """The mask raster over the window expanded by ``halo_px`` pixels."""
-        registry = get_registry()
-        held = self._raster_halo_px if self._raster is not None else -1
-        if held == halo_px or (self._aligned and held > halo_px):
-            registry.inc(names.SIM_RASTER_REUSE)
+    def _raster_for(self, halo_px: int) -> Cells:
+        """The cells of the mask raster over the window expanded by
+        ``halo_px`` pixels."""
+        cells, held = self._cells, self._cells_halo_px
+        if cells is not None and (held == halo_px or (self._aligned and held > halo_px)):
+            get_registry().inc(names.SIM_RASTER_REUSE)
         else:
-            g = self.grid
-            px = max(halo_px, self._raster_halo_px) if self._aligned else halo_px
-            halo = px * g
+            held = max(halo_px, held) if self._aligned else halo_px
+            halo = held * self.grid
             w = self.window
             big = Rect(w.x0 - halo, w.y0 - halo, w.x1 + halo, w.y1 + halo)
-            self._raster = rasterize(self.mask, big, g)
-            self._raster_halo_px = px
-        trim = self._raster_halo_px - halo_px
-        if trim == 0:
-            return self._raster
+            cells = self._cells = raster_cells(self.mask, big, self.grid)
+            self._cells_halo_px = held
         # exact thanks to integer-area rasterization (see raster.py)
-        return np.ascontiguousarray(self._raster[trim:-trim, trim:-trim])
+        return cells.trimmed(held - halo_px)
 
     def aerial_image(self, defocus_nm: float = 0.0) -> np.ndarray:
         """Aerial intensity over the window; bit-identical to
@@ -399,8 +400,7 @@ class SimCache:
         if image is None:
             g = self.grid
             trim = self.model._halo_px(defocus_nm, g)
-            raster = self._raster_for(trim)
-            image = self.model._blur(raster, sigma / g)
+            image = self.model._blur(self._raster_for(trim).expand(), sigma / g)
             image = image[trim:-trim or None, trim:-trim or None]
             self._images[sigma] = image
             get_registry().inc(names.SIM_BLUR_UNIQUE)
@@ -413,8 +413,8 @@ class SimCache:
         entry = self._certified.get(sigma)
         if entry is None:
             trim = self.model._halo_px(defocus_nm, self.grid)
-            raster = self._raster_for(trim)
-            entry = self.model._blur_factored(raster, sigma / self.grid, trim)
+            runs = self._raster_for(trim).runs()
+            entry = self.model._blur_factored(runs, sigma / self.grid, trim)
             self._certified[sigma] = entry
             get_registry().inc(names.SIM_BLUR_UNIQUE)
         return entry
@@ -430,7 +430,7 @@ class SimCache:
         scipy image (:meth:`aerial_image`) and the condition counts one
         ``sim.exact_fallback``.
         """
-        if dose <= 0:
+        if not dose > 0:
             raise ValueError("dose must be positive")
         image, delta = self._certified_image(defocus_nm)
         threshold = self.model.settings.resist_threshold

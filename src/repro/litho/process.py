@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,9 +28,11 @@ class ProcessCondition:
 class ProcessWindow:
     """A rectangular dose/defocus window with corner enumeration.
 
-    Both dose bounds must be positive (``ValueError`` otherwise): every
-    sweep over the window thresholds at ``resist_threshold / dose``, so
-    a bad window fails here, before any tile is simulated.
+    Both dose bounds must be positive and ``defocus_max_nm`` finite
+    (``ValueError`` otherwise, NaN included): every sweep over the
+    window thresholds at ``resist_threshold / dose`` and sizes its halo
+    from the defocus, so a bad window fails here, before any tile is
+    simulated.
     """
 
     dose_min: float = 0.95
@@ -40,6 +43,10 @@ class ProcessWindow:
         if not (self.dose_min > 0 and self.dose_max > 0):
             raise ValueError(
                 f"dose must be positive (dose_min={self.dose_min}, dose_max={self.dose_max})"
+            )
+        if not math.isfinite(self.defocus_max_nm):
+            raise ValueError(
+                f"defocus_max_nm must be finite (defocus_max_nm={self.defocus_max_nm})"
             )
 
     def corners(self) -> list[ProcessCondition]:

@@ -3,20 +3,29 @@
 against.
 
 It is the straightforward engine the fast path replaced: one
-independent :meth:`LithoModel.print_image
-<repro.litho.model.LithoModel.print_image>` per process condition (no
-:class:`~repro.litho.model.SimCache`), the corner classifier as plain
-loops over :class:`~repro.geometry.Region` components (pinch by the
+independent simulation per process condition (:func:`print_image`: the
+dense rasterization below over the window grown by the model's halo,
+scipy's blur :meth:`LithoModel._blur <repro.litho.model.LithoModel._blur>`
+and the threshold; no :class:`~repro.litho.model.SimCache`, no raster
+cells and no factored blur), the corner classifier as plain loops over
+:class:`~repro.geometry.Region` components (pinch by the
 ``grown(-r).grown(r)`` opening), the pairwise-rescan cross-corner merge,
 and a serial scan that runs every tile over the whole-chip regions (no
 spatial index, shared memory or cache).  Only the merge's tie-break is
 new: of members tying on severity, the earliest in its input wins, as
 in the program's merge.
+
+:func:`rasterize` is the dense rasterizer the program's constant-cell
+one (:func:`repro.litho.raster.raster_cells`) replaced: every rect's
+profile scattered into a full-resolution difference array, two
+cumulative sums, one division per pixel.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.geometry import Rect, Region
 from repro.litho.fullchip import FullChipScanReport
@@ -25,6 +34,78 @@ from repro.litho.model import LithoModel
 from repro.litho.process import ProcessCondition, ProcessWindow
 from repro.litho.raster import raster_to_region
 from repro.parallel import tile_grid
+
+
+def _axis_profile(
+    lo: np.ndarray, hi: np.ndarray, grid: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Difference-array form of per-pixel covered length along one axis.
+
+    ``lo``/``hi`` are window-relative integer coordinates (already
+    clipped to ``[0, n*grid]``).  Returns ``(positions, values)`` of
+    shape ``(R, 4)``: scattering ``values`` at ``positions`` into a
+    length ``n+1`` array and prefix-summing yields, for every pixel, the
+    integer length of ``[lo, hi]`` covering it.  The four-entry form
+    ``(+a at c0, g-a at c0+1, b-g at c1-1, -b at c1)`` is exact for
+    single-pixel spans too: the inverted middle range cancels the
+    double-counted partial weights.
+    """
+    c0 = lo // grid
+    c1 = -(-hi // grid)
+    a = (c0 + 1) * grid - lo  # covered length in the first pixel column
+    b = hi - (c1 - 1) * grid  # covered length in the last pixel column
+    positions = np.stack([c0, c0 + 1, c1 - 1, c1], axis=1)
+    values = np.stack([a, grid - a, b - grid, -b], axis=1)
+    return positions, values
+
+
+def rasterize(region: Region, window: Rect, grid: int) -> np.ndarray:
+    """Rasterize a region into a float array of per-pixel coverage.
+
+    Pixel (row j, col i) covers ``[x0 + i*grid, x0 + (i+1)*grid] x
+    [y0 + j*grid, ...]``; values are exact covered-area fractions in
+    [0, 1].  The array shape is (ny, nx), row 0 at the window bottom.
+    """
+    if grid <= 0:
+        raise ValueError("grid must be positive")
+    nx = -(-(window.x1 - window.x0) // grid)
+    ny = -(-(window.y1 - window.y0) // grid)
+    clipped = region & Region(window)
+    if clipped.is_empty:
+        return np.zeros((ny, nx))
+    boxes = np.array(
+        [(r.x0, r.y0, r.x1, r.y1) for r in clipped.rects()], dtype=np.int64
+    )
+    px, vx = _axis_profile(boxes[:, 0] - window.x0, boxes[:, 2] - window.x0, grid)
+    py, vy = _axis_profile(boxes[:, 1] - window.y0, boxes[:, 3] - window.y0, grid)
+    # separable 2-D scatter: the outer product of the two axis profiles
+    diff = np.zeros((ny + 1, nx + 1), dtype=np.int64)
+    rows = np.broadcast_to(py[:, :, None], (len(boxes), 4, 4))
+    cols = np.broadcast_to(px[:, None, :], (len(boxes), 4, 4))
+    vals = vy[:, :, None] * vx[:, None, :]
+    np.add.at(diff, (rows.ravel(), cols.ravel()), vals.ravel())
+    area = diff.cumsum(axis=0).cumsum(axis=1)[:ny, :nx]
+    img = area / float(grid * grid)
+    np.clip(img, 0.0, 1.0, out=img)
+    return img
+
+
+def print_image(
+    model: LithoModel,
+    mask: Region,
+    window: Rect,
+    dose: float,
+    defocus_nm: float,
+    grid: int,
+) -> np.ndarray:
+    """The printed raster at one condition: the mask rasterized over the
+    window grown by the halo, blurred by scipy, cropped, thresholded."""
+    trim = model._halo_px(defocus_nm, grid)
+    halo = trim * grid
+    big = Rect(window.x0 - halo, window.y0 - halo, window.x1 + halo, window.y1 + halo)
+    image = model._blur(rasterize(mask, big, grid), model.blur_sigma_nm(defocus_nm) / grid)
+    image = image[trim:-trim or None, trim:-trim or None]
+    return image * dose >= model.settings.resist_threshold
 
 
 def sweep_contours(
@@ -37,7 +118,7 @@ def sweep_contours(
     """Printed contours at each condition, one simulation apiece."""
     g = grid or model.settings.grid_nm
     for condition in conditions:
-        printed = model.print_image(mask, window, condition.dose, condition.defocus_nm, g)
+        printed = print_image(model, mask, window, condition.dose, condition.defocus_nm, g)
         yield condition, raster_to_region(printed, window, g)
 
 

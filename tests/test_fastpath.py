@@ -1,25 +1,29 @@
 """Equivalence and regression tests for the aerial-image fast path.
 
 The whole fast path — SimCache condition reuse, indexed geometry
-windowing, vectorized rasterization, array-native classification and
-the indexed cross-corner merge — is sold on one promise: results are
+windowing, constant-cell rasterization, array-native classification
+and the array cross-corner merge — is sold on one promise: results are
 *bit-identical* to the straightforward per-condition, whole-chip
 reference engine kept in ``tests/litho_reference.py``.  These tests pin
 that promise at every layer, plus the bug fixes that rode along
 (tile-key stability on cache hits, ``_min_feature_width`` deflation
 under slab slicing, the merge's severity tie-break, and argument
-checks on ``grid``, ``pv_bands`` and the process window's dose).
+checks on ``grid``, ``pv_bands``, the dose and the process window's
+defocus).
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.designgen import LogicBlockSpec, generate_logic_block, generate_sram_array
-from repro.geometry import Rect, Region
+from repro.geometry import Point, Rect, Region
 from repro.litho import (
+    Cutline,
     HotspotKind,
     ProcessCondition,
     ProcessWindow,
@@ -29,6 +33,7 @@ from repro.litho import (
     rasterize,
     scan_full_chip,
 )
+from repro.litho import hotspots
 from repro.litho.fullchip import _ScanGeometry
 from repro.litho.hotspots import (
     Hotspot,
@@ -37,6 +42,7 @@ from repro.litho.hotspots import (
     _merge_across_corners,
     _min_feature_width,
 )
+from repro.litho.raster import raster_cells
 from repro.obs import MetricsRegistry, names, set_registry
 from repro.parallel import tile_grid
 from tests import litho_reference
@@ -292,7 +298,7 @@ class TestFactoredBlur:
             # the margin test_designs_need_no_fallback asks of the bound
             error = np.abs(image - sim.aerial_image(c.defocus_nm)).max()
             assert error * 100 <= delta
-        raster = sim._raster_for(litho45._halo_px(80.0, grid))
+        raster = sim._raster_for(litho45._halo_px(80.0, grid)).expand()
         row_runs = 1 + np.count_nonzero(np.any(raster[1:] != raster[:-1], axis=1))
         column_runs = 1 + np.count_nonzero(np.any(raster[:, 1:] != raster[:, :-1], axis=0))
         if kind == "columns":  # factored along columns, then transposed back
@@ -342,6 +348,118 @@ class TestFactoredBlur:
         sim = litho45.sim_cache(mask, window, grid)
         image, delta = sim._certified_image(defocus)
         assert np.abs(image - sim.aerial_image(defocus)).max() <= delta
+
+
+def _soup(draw, window: Rect, grid: int) -> Region:
+    """Up to ten rects around ``window``: inside it, across its edges or
+    wholly outside, some abutting the previous rect."""
+    rects: list[Rect] = []
+    reach = 6 * grid + 20
+    for _ in range(draw(st.integers(0, 10))):
+        w, h = draw(st.integers(1, 12 * grid)), draw(st.integers(1, 12 * grid))
+        if rects and draw(st.booleans()):
+            prev = rects[-1]
+            if draw(st.booleans()):  # on its right edge
+                x, y = prev.x1, draw(st.integers(prev.y0 - h, prev.y1))
+            else:  # on its top edge
+                x, y = draw(st.integers(prev.x0 - w, prev.x1)), prev.y1
+        else:
+            x = draw(st.integers(window.x0 - reach - w, window.x1 + reach))
+            y = draw(st.integers(window.y0 - reach - h, window.y1 + reach))
+        rects.append(Rect(x, y, x + w, y + h))
+    return Region(rects)
+
+
+@st.composite
+def raster_cases(draw):
+    """A soup around a window that may end mid-pixel, on grids 1-8."""
+    grid = draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
+    span = 40 if grid == 1 else 160
+    x0, y0 = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    window = Rect(x0, y0, x0 + draw(st.integers(1, span)), y0 + draw(st.integers(1, span)))
+    return _soup(draw, window, grid), window, grid
+
+
+@st.composite
+def trim_cases(draw):
+    """A soup around a whole-pixel window and two halos in pixels, the
+    wider first."""
+    grid = draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
+    x0, y0 = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    nx, ny = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    window = Rect(x0, y0, x0 + nx * grid, y0 + ny * grid)
+    wide = draw(st.integers(1, 10))
+    narrow = draw(st.integers(0, wide - 1))
+    return _soup(draw, window.expanded(wide * grid), grid), window, grid, wide, narrow
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _check_cells(cells, raster: np.ndarray) -> None:
+    """``cells`` has no empty band, expands to ``raster`` bit for bit,
+    and hands over the maximal runs of identical lines a scan of
+    ``raster`` finds, along the axis that scan picks for the blur."""
+    for edges, n in ((cells.rows, raster.shape[0]), (cells.cols, raster.shape[1])):
+        assert edges[0] == 0 and edges[-1] == n
+        assert np.all(np.diff(edges) > 0)
+    assert _same_bits(cells.expand(), raster)
+    new_row = np.any(raster[1:] != raster[:-1], axis=1)
+    new_col = np.any(raster[:, 1:] != raster[:, :-1], axis=0)
+    transposed = np.count_nonzero(new_col) < np.count_nonzero(new_row)
+    lines, new = (raster.T, new_col) if transposed else (raster, new_row)
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    runs = cells.runs()
+    assert runs.transposed == transposed
+    assert np.array_equal(runs.starts, starts)
+    assert _same_bits(runs.lines, np.ascontiguousarray(lines[starts]))
+    assert runs.count == len(lines)
+    # maximal: every run's lines equal its first, and neighbours differ
+    ends = np.append(starts[1:], len(lines))
+    for line, lo, hi in zip(runs.lines, starts, ends):
+        assert (lines[lo:hi] == line).all()
+    assert all((a != b).any() for a, b in zip(runs.lines, runs.lines[1:]))
+
+
+class TestCellsMatchReference:
+    """The constant-cell raster against the dense rasterizer kept in
+    ``tests/litho_reference.py``: the raster bit for bit, the blur's
+    runs, and the cells an aligned window trims for a narrower halo."""
+
+    @given(raster_cases())
+    @example((Region(), Rect(3, -2, 40, 17), 3))  # empty region
+    @example((Region(Rect(-90, -90, -20, -20)), Rect(0, 0, 64, 40), 4))  # wholly outside
+    @example(  # abutting rects, the window ending mid-pixel
+        (Region([Rect(0, 0, 7, 9), Rect(7, 3, 20, 9), Rect(4, 9, 13, 30)]), Rect(1, 2, 19, 27), 5)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cells_expand_to_the_reference_raster(self, case):
+        region, window, grid = case
+        raster = litho_reference.rasterize(region, window, grid)
+        assert _same_bits(rasterize(region, window, grid), raster)
+        _check_cells(raster_cells(region, window, grid), raster)
+
+    @given(trim_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_trimmed_cells_equal_a_direct_build(self, case):
+        region, window, grid, wide, narrow = case
+        trimmed = raster_cells(region, window.expanded(wide * grid), grid).trimmed(wide - narrow)
+        direct = raster_cells(region, window.expanded(narrow * grid), grid)
+        raster = litho_reference.rasterize(region, window.expanded(narrow * grid), grid)
+        _check_cells(direct, raster)
+        _check_cells(trimmed, raster)
+
+    def test_wide_region_with_slabs_at_the_window_edges(self):
+        # the cells read only the slabs reaching into the window's
+        # x-extent: here one ends at its left edge and one starts at
+        # its right edge, both outside it
+        chip = Region([Rect(x, 0, x + 20, 400) for x in range(-100_000, 100_000, 40)])
+        window = Rect(-40, 10, 120, 90)
+        for grid in (3, 4):
+            assert _same_bits(
+                rasterize(chip, window, grid), litho_reference.rasterize(chip, window, grid)
+            )
 
 
 class TestSweepEquivalence:
@@ -411,6 +529,31 @@ class TestArgumentChecks:
         _, model, m1 = fastpath_setup
         with pytest.raises(ValueError, match="dose must be positive"):
             scan_full_chip(model, m1, tile_nm=3000, process=ProcessWindow(dose_min=0.0))
+
+    def test_nan_dose_prints_nothing_no_more(self, fastpath_setup):
+        # ``dose <= 0`` is False for NaN: both printers thresholded at
+        # NaN and printed an empty raster
+        _, model, m1 = fastpath_setup
+        window = Rect(0, 0, 1000, 800)
+        with pytest.raises(ValueError, match="dose must be positive"):
+            model.print_image(m1, window, dose=float("nan"))
+        with pytest.raises(ValueError, match="dose must be positive"):
+            model.sim_cache(m1, window).print_image(dose=float("nan"))
+
+    @pytest.mark.parametrize("dose", [float("nan"), 0.0, -1.0])
+    def test_measure_cd_rejects_a_bad_dose(self, litho45, dose):
+        # it returned 0.0 at NaN and 795.0 at -1, and divided by zero at 0
+        line = Region(Rect(0, 0, 45, 2000))
+        with pytest.raises(ValueError, match="dose must be positive"):
+            litho45.measure_cd(line, Cutline(Point(22, 1000)), dose=dose)
+
+    @pytest.mark.parametrize("defocus", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_defocus_rejected(self, fastpath_setup, defocus):
+        # the scan sized its halo from it: a bare "cannot convert float
+        # NaN to integer" ValueError, or an OverflowError at inf
+        _, model, m1 = fastpath_setup
+        with pytest.raises(ValueError, match="defocus_max_nm must be finite"):
+            scan_full_chip(model, m1, tile_nm=3000, process=ProcessWindow(defocus_max_nm=defocus))
 
 
 class TestScanFastPath:
@@ -601,6 +744,56 @@ def marker_soups(draw):
     return raw
 
 
+@st.composite
+def chain_soups(draw):
+    """Up to 300 raw hotspots in chains that run right or up from the
+    previous marker, at a gap of 0, 1 or 2, or restart anywhere in a
+    field of drawn size: chains whose boxes reach markers that touch no
+    member, where raw order decides the clusters.
+
+    Each marker is one drawn integer read as mixed-radix digits, which
+    keeps 300-marker soups cheap to draw; it shrinks toward small
+    markers chained rightwards at gap 0.
+    """
+    field = draw(st.integers(20, 400))
+    size = draw(st.integers(0, 300))
+    raw: list[Hotspot] = []
+    for code in draw(st.lists(st.integers(0, 1 << 40), min_size=size, max_size=size)):
+
+        def digit(radix: int) -> int:
+            nonlocal code
+            code, d = divmod(code, radix)
+            return d
+
+        w, h = 1 + digit(16), 1 + digit(16)
+        step, gap, slide = digit(3), digit(3), digit(32)
+        prev = raw[-1].marker if raw else None
+        if prev is not None and step == 0:  # on from its right edge
+            x0, y0 = prev.x1 + gap, prev.y0 - h + slide % (prev.height + h + 1)
+        elif prev is not None and step == 1:  # on from its top edge
+            x0, y0 = prev.x0 - w + slide % (prev.width + w + 1), prev.y1 + gap
+        else:
+            x0, y0 = digit(field + 1), digit(field + 1)
+        kinds = list(HotspotKind)
+        raw.append(
+            Hotspot(
+                kinds[digit(len(kinds))],
+                Rect(x0, y0, x0 + w, y0 + h),
+                _SEVERITIES[digit(len(_SEVERITIES))],
+                _CONDITIONS[digit(len(_CONDITIONS))],
+            )
+        )
+    return raw
+
+
+# A and B touch; C lies inside their bounding box and touches neither,
+# so the walk absorbs C from a cluster seeded at A or B, but C seeded
+# first stays alone
+_A = Hotspot(HotspotKind.PINCH, Rect(0, 0, 2, 20), 60.0, _CONDITIONS[0])
+_B = Hotspot(HotspotKind.PINCH, Rect(3, 18, 20, 20), 80.0, _CONDITIONS[1])
+_C = Hotspot(HotspotKind.PINCH, Rect(15, 5, 18, 8), 100.0, _CONDITIONS[2])
+
+
 # four pinches merging into one site, whose two severity-100 members
 # disagree on the corner: the earliest one in the raw list wins
 TIED_MERGE_CASE = [
@@ -617,12 +810,48 @@ class TestMergeMatchesReference:
 
     @given(marker_soups())
     @example(TIED_MERGE_CASE)
+    @example([_A, _B, _C])
+    @example([_C, _A, _B])
     @settings(max_examples=300, deadline=None)
     def test_random_soups(self, raw):
         merged = _merge_across_corners(raw)
         reference = litho_reference.merge_across_corners(raw)
         assert merged == reference
         assert [str(h) for h in merged] == [str(h) for h in reference]
+
+    @given(chain_soups())
+    @settings(max_examples=150, deadline=None)
+    def test_horizontal_and_vertical_chains(self, raw):
+        merged = _merge_across_corners(raw)
+        reference = litho_reference.merge_across_corners(raw)
+        assert merged == reference
+        assert [str(h) for h in merged] == [str(h) for h in reference]
+
+    @pytest.mark.parametrize("block", [1, 3, 17])
+    def test_candidate_pairs_in_small_blocks(self, monkeypatch, block):
+        # the touching-pair sweep expands its candidates in blocks of
+        # about _PAIRS_AT pairs; small blocks must link what one does
+        rng = random.Random(7)
+        raw = []
+        for _ in range(200):
+            x, y = rng.randrange(120), rng.randrange(120)
+            raw.append(
+                Hotspot(
+                    rng.choice(list(HotspotKind)),
+                    Rect(x, y, x + rng.randrange(1, 12), y + rng.randrange(1, 12)),
+                    rng.choice(_SEVERITIES),
+                    rng.choice(_CONDITIONS),
+                )
+            )
+        monkeypatch.setattr(hotspots, "_PAIRS_AT", block)
+        assert _merge_across_corners(raw) == litho_reference.merge_across_corners(raw)
+
+    def test_raw_order_decides_a_cluster_the_boxes_reach(self):
+        (merged,) = _merge_across_corners([_A, _B, _C])
+        assert (merged.marker, merged.severity) == (Rect(0, 0, 20, 20), 100.0)
+        first, second = _merge_across_corners([_C, _A, _B])
+        assert (first.marker, first.severity) == (_C.marker, 100.0)
+        assert (second.marker, second.severity) == (Rect(0, 0, 20, 20), 80.0)
 
     def test_tie_goes_to_the_earliest_member(self):
         (merged,) = _merge_across_corners(TIED_MERGE_CASE)
