@@ -82,9 +82,8 @@ def run_drc(
     when violations were found *or* tasks were quarantined.
 
     ``executor`` lets a long-lived caller (see :func:`make_service`)
-    supply its own — typically persistent — tile executor whose warm
-    worker pool is reused across calls; results are identical either
-    way.
+    supply its own tile executor, whose ``cancel_event`` stops the run
+    between chunks; results are identical either way.
 
     ``store`` (see :func:`ingest_store`) runs the deck out-of-core
     against an mmapped layout store instead of flattening ``cell``
@@ -138,9 +137,8 @@ def scan_full_chip(
     False when hotspots were found *or* tiles were quarantined.
 
     ``executor`` lets a long-lived caller (see :func:`make_service`)
-    supply its own — typically persistent — tile executor whose warm
-    worker pool is reused across calls; results are identical either
-    way.
+    supply its own tile executor, whose ``cancel_event`` stops the run
+    between chunks; results are identical either way.
 
     ``drawn`` and ``mask`` also accept a
     :class:`~repro.layout.store.StoreLayer` (one layer of an
@@ -298,8 +296,8 @@ def make_service(
 ) -> "VerificationService":
     """A long-lived in-process verification service.
 
-    The service keeps layouts resident, the worker pool warm, and a
-    content-addressed result store shared across runs, so repeated
+    The service keeps layouts resident and a content-addressed result
+    store shared across runs, so repeated
     verification of an evolving layout costs only the dirty tiles.
     Drive it through :class:`repro.service.ServiceClient` (or serve it
     over a socket with ``repro serve``), and ``close()`` it — it is a

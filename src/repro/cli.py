@@ -51,6 +51,15 @@ from repro.parallel import AbortRun
 from repro.tech import make_node
 
 
+def _count(text: str) -> int:
+    """argparse type of a listing limit: an int that is not negative (a
+    negative slice bound would drop findings from the end)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return value
+
+
 def _add_node(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--node", type=int, default=45, help="process node in nm (default 45)")
 
@@ -600,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell")
     p.add_argument("--layer", default="M1")
     p.add_argument("--tile", type=int, default=4000)
-    p.add_argument("--limit", type=int, default=10,
+    p.add_argument("--limit", type=_count, default=10,
                    help="hotspots to list (0 = summary only)")
     p.add_argument("--extent", default=None, metavar="X0,Y0,X1,Y1",
                    help="scan extent in nm (default: the drawn bbox)")
@@ -631,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-file", default=".repro_service.json",
                    help="where to publish the daemon's host/port/pid")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the persistent executor "
+                   help="worker processes per pooled job "
                         "(0 = all CPUs, default 1)")
     p.add_argument("--max-depth", type=int, default=256,
                    help="queued jobs before new submissions are shed")
@@ -656,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell", help="cell to verify (default: top cell)")
     p.add_argument("--layer", default="M1", help="layer for scan jobs")
     p.add_argument("--tile", type=int, default=4000)
-    p.add_argument("--limit", type=int, default=10,
+    p.add_argument("--limit", type=_count, default=10,
                    help="findings to list in the result (0 = summary only)")
     p.add_argument("--client", default="cli",
                    help="client name used for queue fairness accounting")
@@ -689,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="abutment window half-width (default: 2 poly pitches)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for in-process execution")
-    p.add_argument("--limit", type=int, default=5,
+    p.add_argument("--limit", type=_count, default=5,
                    help="weak pairs to list (0 = summary only)")
     p.add_argument("--daemon", action="store_true",
                    help="run through a live daemon as one batched submit")

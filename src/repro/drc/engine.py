@@ -131,9 +131,10 @@ def run_drc(
 
     Every layer the deck reads is flattened in one
     :meth:`Cell.regions <repro.layout.Cell.regions>` walk.  As in
-    :func:`repro.litho.fullchip.scan_full_chip`, ``executor`` reuses a
-    caller-owned — typically persistent — :class:`TileExecutor`, with
-    results and cache keys byte-identical either way.
+    :func:`repro.litho.fullchip.scan_full_chip`, ``executor`` runs the
+    tasks on a caller-owned :class:`TileExecutor` (the service's, which
+    carries each job's cancel event), with results and cache keys
+    byte-identical either way.
 
     ``store`` runs the deck against an out-of-core layout store instead
     of flattening ``cell`` (which may then be ``None``): each layer is
@@ -227,12 +228,6 @@ def _whole(layer: "Region | StoreLayer") -> Region:
     return layer.region() if isinstance(layer, StoreLayer) else layer
 
 
-def _clipped(layer: "Region | StoreLayer", window: Rect) -> Region:
-    """``layer & Region(window)``; a store layer clips from its window
-    query without materializing the layer."""
-    return layer.clipped(window) if isinstance(layer, StoreLayer) else layer & Region(window)
-
-
 @dataclass(frozen=True)
 class _DrcPayload:
     """Read-only per-run state handed to each worker once.
@@ -240,7 +235,8 @@ class _DrcPayload:
     ``regions`` maps each layer the deck reads to its region, which
     fork workers inherit from the parent, or (store-backed runs) to its
     :class:`~repro.layout.store.StoreLayer`, which pickles as a file
-    handle and serves windowed clips straight from the mmapped store.
+    handle.  Tile tasks clip either kind with its own ``clipped``; a
+    store layer reads only the window's rects from the mmapped file.
     """
 
     regions: "Mapping[Layer, Region | StoreLayer]"
@@ -264,7 +260,7 @@ def _drc_task(payload: _DrcPayload, task: _Task) -> tuple[list[Violation], float
 
         def get(layer: Layer) -> Region:
             if layer not in clipped:
-                clipped[layer] = _clipped(payload.regions.get(layer, _EMPTY), tile.window)
+                clipped[layer] = payload.regions.get(layer, _EMPTY).clipped(tile.window)
             return clipped[layer]
 
         found: list[Violation] = []
@@ -300,7 +296,7 @@ def _task_key(payload: _DrcPayload, task: _Task) -> str:
             tile.x_edge,
             tile.y_edge,
             tuple(
-                _clipped(payload.regions.get(l, _EMPTY), tile.window).digest()
+                payload.regions.get(l, _EMPTY).clipped(tile.window).digest()
                 for l in layers
             ),
         )

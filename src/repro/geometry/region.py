@@ -598,6 +598,26 @@ class Region:
         """
         return self & Region(window)
 
+    def window(self, window: Rect) -> list[Rect]:
+        """Canonical rects whose closed bbox touches ``window``, in
+        :meth:`rects` order — the contract of
+        :meth:`StoreLayer.window <repro.layout.store.StoreLayer.window>`.
+
+        Slabs are sorted by x0 and by x1, so the slabs reaching the
+        window's closed x-range are one span found by two bisections;
+        each then keeps the y-intervals touching ``[y0, y1]``.
+        """
+        slabs = self._slabs
+        lo = bisect_left(slabs, window.x0, key=_slab_x1)
+        hi = bisect_right(slabs, window.x1, lo=lo, key=_slab_x0)
+        wy0, wy1 = window.y0, window.y1
+        return [
+            Rect(xa, y0, xb, y1)
+            for xa, xb, ys in slabs[lo:hi]
+            for y0, y1 in ys
+            if y0 <= wy1 and y1 >= wy0
+        ]
+
     def edges(self) -> list[tuple[Point, Point]]:
         """Boundary edges as (start, end) point pairs.
 

@@ -432,14 +432,13 @@ class StoreLayer:
     """One layer of a mapped store: canonical rects served on demand.
 
     Duck-types the slice of :class:`~repro.geometry.Region` the engines
-    consume — ``bbox``, ``digest()``, ``rects()`` — plus the windowed
-    candidate query the in-RAM path answers with ``GridIndex`` and the
-    exact windowed clip.  It pickles as ``(path, key, digest)``, absent
+    consume — ``bbox``, ``digest()``, ``rects()``, the windowed
+    candidate query ``window()`` and the exact windowed clip
+    ``clipped()``.  It pickles as ``(path, key, digest)``, absent
     layers too: a worker maps the store itself, and a layer whose
-    geometry changed since it was pickled (the store was re-ingested)
-    is refused instead of read.  Because the digest is on the wire, a
-    persistent pool never serves a layer re-ingested with other geometry
-    from workers that still map the old file.
+    geometry changed between pickling and loading (the store was
+    re-ingested in between) is refused instead of read, so no worker
+    scans other geometry than the parent pickled.
     """
 
     __slots__ = ("view", "key", "entry", "_region")

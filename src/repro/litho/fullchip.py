@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.report import BaseReport
-from repro.geometry import GridIndex, Rect, Region
+from repro.geometry import Rect, Region
 from repro.layout.store import StoreLayer
 from repro.litho.hotspots import Hotspot, _merge_across_corners, find_hotspots
 from repro.litho.model import LithoModel
@@ -87,77 +87,23 @@ class FullChipScanReport(BaseReport):
         return line
 
 
-class _ScanGeometry:
-    """One layer plus, in RAM, a lazily-built spatial index of its rects.
-
-    Each tile's simulation asks for the rects near it (:meth:`near`), so
-    it touches only the geometry near the tile; the tile-key clips come
-    from :meth:`clipped`.
-
-    The layer is a region, which fork workers inherit with the payload
-    and whose index each process builds on first use; or — when the scan
-    is store-backed — a :class:`~repro.layout.store.StoreLayer`, which
-    pickles as a handle on the mmapped store and answers both queries
-    from it without materializing the layer.  Both keep canonical rect
-    order and the closed-touches window contract, so clips and digests
-    are identical throughout.
-    """
-
-    __slots__ = ("layer", "cell_nm", "_index", "_buf")
-
-    def __init__(self, layer: "Region | StoreLayer", cell_nm: int = 2048):
-        self.layer = layer
-        self.cell_nm = cell_nm
-        self._index: GridIndex[Rect] | None = None
-        self._buf: list[Rect] = []
-
-    def __getstate__(self):
-        return (self.layer, self.cell_nm)
-
-    def __setstate__(self, state):
-        self.layer, self.cell_nm = state
-        self._index = None
-        self._buf = []
-
-    def near(self, window: Rect) -> list[Rect]:
-        """Canonical rects whose bbox touches ``window`` (in RAM a shared
-        buffer, valid until the next call in this process)."""
-        layer = self.layer
-        if isinstance(layer, StoreLayer):
-            return layer.window(window)
-        if self._index is None:
-            self._index = GridIndex(cell_size=self.cell_nm)
-            for r in layer.rects():
-                self._index.insert(r, r)
-        return self._index.query_into(window, self._buf)
-
-    def clipped(self, window: Rect) -> Region:
-        """``region & Region(window)``, the clip a tile key digests.
-
-        In RAM that is the clip itself: ``&`` bisects the region's slabs
-        down to the window's x-extent, which costs less than an index
-        query plus a regrouping.  A store layer clips from its window
-        query (:meth:`StoreLayer.clipped
-        <repro.layout.store.StoreLayer.clipped>`), exactly.
-        """
-        layer = self.layer
-        if isinstance(layer, StoreLayer):
-            return layer.clipped(window)
-        return layer & Region(window)
-
-
 @dataclass(frozen=True, slots=True)
 class _ScanPayload:
-    """Read-only per-scan state shipped to each worker once.
+    """Read-only per-scan state handed to each worker once.
 
-    ``drawn``/``mask`` are :class:`_ScanGeometry` indexes and
-    ``halo_nm`` is the widest corner halo (pixel-aligned): each tile
-    simulates from the geometry inside its influence window only.
+    ``drawn``/``mask`` are the layers themselves: a region, which fork
+    workers inherit from the parent, or a
+    :class:`~repro.layout.store.StoreLayer`, which pickles as a handle
+    on the mmapped store.  Both answer the same windowed queries
+    (``window`` and ``clipped``) in canonical rect order, so clips and
+    digests are identical on either.  ``halo_nm`` is the widest corner
+    halo (pixel-aligned): each tile simulates from the geometry inside
+    its influence window only.
     """
 
     model: LithoModel
-    drawn: _ScanGeometry
-    mask: _ScanGeometry | None
+    drawn: "Region | StoreLayer"
+    mask: "Region | StoreLayer | None"
     process: ProcessWindow
     pinch_limit: int | None
     grid: int | None
@@ -171,12 +117,12 @@ def _scan_tile(payload: _ScanPayload, tile: Tile) -> tuple[list[Hotspot], float]
     # geometry local to the tile's optical influence window; exact
     # because rects beyond it cannot affect the rasterized halo
     influence = tile.window.expanded(payload.halo_nm)
-    drawn_local = payload.drawn.near(influence)
+    drawn_local = payload.drawn.window(influence)
     registry.inc(names.SCAN_CLIP_CANDIDATES, len(drawn_local))
     drawn = Region(drawn_local)
     mask = None
     if payload.mask is not None:
-        mask_local = payload.mask.near(influence)
+        mask_local = payload.mask.window(influence)
         registry.inc(names.SCAN_CLIP_CANDIDATES, len(mask_local))
         mask = Region(mask_local)
     found = find_hotspots(
@@ -206,10 +152,11 @@ def _tile_key(payload: _ScanPayload, tile: Tile, params: str, halo_nm: int) -> s
     The geometry is clipped to the tile window expanded by the optical
     halo — the full influence region rasterized by the aerial-image
     model — so any edit outside that window leaves the key (and the
-    cached result) valid.  The clip is computed from the spatial index
-    (local geometry only), which keeps cache-hit tiles O(local area)
-    instead of O(full chip); its digest — hence the key — is that of
-    the whole-chip region clipped to the same window.
+    cached result) valid.  The clip reads only the layer's geometry
+    near the window (a region bisects its slabs, a store layer windows
+    its file), which keeps cache-hit tiles O(local area) instead of
+    O(full chip); its digest — hence the key — is that of the
+    whole-chip region clipped to the same window.
     """
     influence = tile.window.expanded(halo_nm)
     parts = [
@@ -282,8 +229,10 @@ def scan_full_chip(
     same geometry and scan parameters, and is deleted once the scan
     completes.
 
-    Geometry is pre-binned into a spatial index so each tile touches
-    only the rects inside its optical influence window, and each tile's
+    Each tile reads only the layer's rects touching its optical
+    influence window (:meth:`Region.window
+    <repro.geometry.Region.window>` bisects the region's slabs), and
+    each tile's
     corner sweep reuses one mask raster, held as its constant cells, and
     one blurred image per unique blur sigma, factored over the raster's
     runs of identical lines (see :class:`~repro.litho.model.SimCache`).
@@ -295,13 +244,12 @@ def scan_full_chip(
     chip with one independent simulation per corner.
 
     ``executor`` lets a long-lived caller (the verification service)
-    supply its own — typically persistent — :class:`TileExecutor`
-    instead of a per-run one; its ``jobs`` takes precedence, and
-    results and cache keys are byte-identical either way.  A pooled
-    in-RAM run hands its payload to the pool as it is: on Linux the
-    workers fork from this process and inherit the geometry, and a
-    persistent executor reuses its warm workers for a payload that
-    pickles identically, such as an unchanged layout scanned again.
+    supply its own :class:`TileExecutor`, whose ``cancel_event`` stops
+    the run between chunks, instead of a per-run one; its ``jobs``
+    takes precedence, and results and cache keys are byte-identical
+    either way.  A pooled in-RAM run hands its payload to the pool as
+    it is: on Linux the workers fork from this process and inherit the
+    geometry.
 
     ``drawn`` (and ``mask``) may be a
     :class:`~repro.layout.store.StoreLayer` instead of a region, absent
@@ -324,15 +272,7 @@ def scan_full_chip(
     process = process or ProcessWindow()
     halo = max(model.halo_nm(c.defocus_nm) for c in process.corners())
     halo = -(-halo // g) * g  # pixel-grid round-up, as in aerial_image
-    payload = _ScanPayload(
-        model,
-        _ScanGeometry(drawn),
-        _ScanGeometry(mask) if mask is not None else None,
-        process,
-        pinch_limit,
-        grid,
-        halo,
-    )
+    payload = _ScanPayload(model, drawn, mask, process, pinch_limit, grid, halo)
     checkpoint: TileCache | None = None
     with span("scan.plan"):
         tiles = tile_grid(extent, tile_nm, overlap_nm)

@@ -42,8 +42,8 @@ from repro.matrix.scenarios import (
 
 @dataclass(frozen=True)
 class MatrixPayload:
-    """Per-node check parameters; frozen and hashable so the persistent
-    executor's warm pool recognizes repeat payloads."""
+    """Per-node check parameters: the read-only payload every scenario
+    check receives."""
 
     # (node, litho settings, pinch limit nm, dpt same-mask space nm)
     nodes: tuple[tuple[int, LithoSettings, int, int], ...]
@@ -175,7 +175,6 @@ def _run_in_process(
     store: ResultStore,
     *,
     jobs: int,
-    executor: TileExecutor | None,
 ) -> list[dict]:
     """Execute scenarios with store dedup, mirroring the sequential
     service semantics: first occurrence of a window misses and computes,
@@ -194,13 +193,7 @@ def _run_in_process(
             results_by_key[scenario.key] = {}  # placeholder: computed below
             pending.append(scenario.item())
 
-    own_executor = executor is None
-    pool = executor if executor is not None else TileExecutor(jobs=jobs)
-    try:
-        computed = pool.map(run_scenario_check, payload, pending)
-    finally:
-        if own_executor:
-            pool.close()
+    computed = TileExecutor(jobs=jobs).map(run_scenario_check, payload, pending)
     for item, result in zip(pending, computed):
         store.put(
             scenario_namespace(item["node"], item["check"]), item["key"], result
@@ -254,7 +247,6 @@ def run_matrix(
     spec: MatrixSpec,
     *,
     jobs: int = 1,
-    executor: TileExecutor | None = None,
     store: ResultStore | None = None,
     client: Any | None = None,
 ) -> LibraryComplianceReport:
@@ -277,9 +269,7 @@ def run_matrix(
         local_store = store if store is not None else ResultStore()
         hits0, misses0 = local_store.hits, local_store.misses
         payload = payload_for_nodes(tuple(spec.nodes))
-        results = _run_in_process(
-            scenarios, payload, local_store, jobs=jobs, executor=executor
-        )
+        results = _run_in_process(scenarios, payload, local_store, jobs=jobs)
         hits = local_store.hits - hits0
         misses = local_store.misses - misses0
         store_stats = {

@@ -39,9 +39,6 @@ POOL_PAYLOAD_BYTES = "pool.payload_bytes"
 # Gauged by repro.parallel.shm when it cannot pack an arena; the engines
 # no longer pack, so no run sets it.
 POOL_SHM_FALLBACK = "pool.shm_fallback"
-# Incremented when a persistent executor serves a run from its warm
-# worker pool instead of forking a fresh one (service mode).
-POOL_WARM_REUSE = "pool.warm_reuse"
 # Legacy dotless spelling, kept byte-identical: manifests written since
 # PR 2 key the serial-fallback gauge on this exact string.
 POOL_FALLBACK = "pool_fallback"

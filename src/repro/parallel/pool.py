@@ -280,6 +280,11 @@ class _Workers:
         start = float(self.slots[2 * slot + 1])
         return (pid, start) if pid and start else None
 
+    def stop(self) -> None:
+        """Kill the workers (mid-chunk ones included) and reap them."""
+        self.pool.terminate()
+        self.pool.join()
+
 
 def _post(events: SimpleQueue, token: int, ok: bool, value: Any) -> None:
     """Pool callback (on the pool's result thread): one finished attempt."""
@@ -307,16 +312,10 @@ class TileExecutor:
     reference) and the payload must be picklable.  Results are returned
     in the order of ``items`` regardless of which worker finished first.
 
-    One-shot by default: every ``map``/``run`` call stands its own pool
-    up and tears it down.  ``persistent=True`` keeps the pool warm
-    between calls instead — a following call whose payload (and fault
-    plan) pickles byte-identically reuses the already-initialized
-    workers, which is what lets a long-lived verification service serve
-    many requests against a resident layout without re-forking per
-    request (counted by ``pool.warm_reuse``).  A persistent executor
-    must be released with :meth:`close` (or used as a context manager);
-    a payload change, timeout kill, or mid-run failure retires the warm
-    pool automatically.
+    Every pooled ``map``/``run`` call stands its own pool up, as wide as
+    its work needs (at most ``jobs``), and tears it down before it
+    returns, so an executor holds no processes between calls and needs
+    no closing.
 
     ``cancel_event`` (a :class:`threading.Event`) cooperatively cancels
     an in-flight :meth:`run` between chunks: the run flushes its
@@ -324,37 +323,10 @@ class TileExecutor:
     abort — the seam the service's per-job cancel and deadline reuse.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = 1,
-        chunk_size: int | None = None,
-        *,
-        persistent: bool = False,
-    ) -> None:
+    def __init__(self, jobs: int | None = 1, chunk_size: int | None = None) -> None:
         self.jobs = resolve_jobs(jobs)
         self.chunk_size = chunk_size
-        self.persistent = persistent
         self.cancel_event: threading.Event | None = None
-        self._pool: _Workers | None = None
-        self._pool_key: tuple[bytes, bool] | None = None
-
-    # -- lifetime -------------------------------------------------------
-    def close(self) -> None:
-        """Tear down the warm pool, if any (idempotent).
-
-        One-shot executors never hold a pool between calls, so this is
-        only needed (but is always safe) in ``persistent`` mode.
-        """
-        workers, self._pool, self._pool_key = self._pool, None, None
-        if workers is not None:
-            workers.pool.terminate()
-            workers.pool.join()
-
-    def __enter__(self) -> "TileExecutor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     def _cancelled(self) -> bool:
         event = self.cancel_event
@@ -365,24 +337,7 @@ class TileExecutor:
         # ~4 chunks per worker balances scheduling slack against IPC cost
         return self.chunk_size or max(1, -(-n_items // (self.jobs * 4)))
 
-    @staticmethod
-    def _wire_bytes(payload: Any, faults: FaultPlan | None) -> bytes | None:
-        """The initializer arguments as pickled bytes, or None when the
-        payload cannot be pickled (it then fails loudly at submission)."""
-        try:
-            import pickle
-
-            return pickle.dumps((payload, faults), pickle.HIGHEST_PROTOCOL)
-        except Exception:  # repro-lint: disable=RL004
-            return None
-
-    def _make_pool(
-        self,
-        payload: Any,
-        faults: FaultPlan | None,
-        workers: int,
-        wire: bytes | None = None,
-    ) -> _Workers:
+    def _make_pool(self, payload: Any, faults: FaultPlan | None, workers: int) -> _Workers:
         """Stand up a worker pool; raises ``_POOL_ERRORS`` when the host
         cannot (``multiprocessing.Pool`` spawns its workers eagerly, so
         construction failures surface here, not mid-run)."""
@@ -394,11 +349,7 @@ class TileExecutor:
             try:
                 import pickle
 
-                size = (
-                    len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-                    if wire is None
-                    else len(wire)
-                )
+                size = len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
                 registry.gauge(names.POOL_PAYLOAD_BYTES, float(size))
             # the gauge is advisory; an unpicklable payload fails later,
             # loudly, at submission time
@@ -413,40 +364,6 @@ class TileExecutor:
             initargs=(payload, registry.enabled, faults, slots),
         )
         return _Workers(pool, slots)
-
-    def _obtain_pool(self, payload: Any, faults: FaultPlan | None, workers: int) -> _Workers:
-        """A pool whose workers hold ``payload``: warm when possible.
-
-        In persistent mode the pool is created at full ``jobs`` width
-        (so a later, larger request can still reuse it) and kept for the
-        next call when its initializer arguments — payload and fault
-        plan, compared as pickled bytes, plus the registry flag — are
-        identical; anything else retires the old pool first.
-        """
-        if not self.persistent:
-            return self._make_pool(payload, faults, workers)
-        wire = self._wire_bytes(payload, faults)
-        key = (wire, get_registry().enabled) if wire is not None else None
-        if self._pool is not None and key is not None and key == self._pool_key:
-            get_registry().inc(names.POOL_WARM_REUSE)
-            return self._pool
-        self.close()
-        pool = self._make_pool(payload, faults, self.jobs, wire)
-        self._pool, self._pool_key = pool, key
-        return pool
-
-    def _retire_pool(self, workers: _Workers, broken: bool) -> None:
-        """Give a pool back after a call: keep it warm or tear it down.
-
-        A ``broken`` pool (timeout kill, propagating failure — workers
-        may be wedged mid-chunk) is never kept.
-        """
-        if self.persistent and not broken and workers is self._pool:
-            return
-        if workers is self._pool:
-            self._pool, self._pool_key = None, None
-        workers.pool.terminate()
-        workers.pool.join()
 
     @staticmethod
     def _fallback(exc: BaseException) -> None:
@@ -634,7 +551,7 @@ class TileExecutor:
         queue, which the loop blocks on until the next event, the
         nearest started chunk's deadline, the nearest retry backoff, or
         the next liveness or cancel check.  Tokens are never reused, so
-        the event of an attempt already failed (its pool retired by a
+        the event of an attempt already failed (its pool stopped by a
         timeout, or its worker found dead) is stale and dropped.
         """
         chunk = self._resolve_chunk(len(pending))
@@ -647,7 +564,7 @@ class TileExecutor:
         state.rank_of = rank_of
         width = max(min(self.jobs, len(queue)), 1)
         try:
-            workers = self._obtain_pool(payload, state.faults, width)
+            workers = self._make_pool(payload, state.faults, width)
         except _POOL_ERRORS as exc:
             self._fallback(exc)
             return False
@@ -659,12 +576,10 @@ class TileExecutor:
         tokens = itertools.count()
         # token -> (chunk, stamp slot) for chunks in flight, in submission order
         flights: dict[int, tuple[_Chunk, int]] = {}
-        broken = True
         try:
             while queue or flights:
                 if self._cancelled():
-                    # the caller's except-path flushes the checkpoint, and
-                    # the (possibly mid-chunk) pool is retired as broken
+                    # the caller's except-path flushes the checkpoint
                     raise AbortRun("run cancelled")
                 now = time.monotonic()
                 busy = {slot for _, slot in flights.values()}
@@ -737,7 +652,7 @@ class TileExecutor:
                     # innocents unpenalized, charge the hung chunk
                     hung_chunk = flights.pop(hung)[0]
                     state.outcome.timeouts += 1
-                    self._retire_pool(workers, broken=True)
+                    workers.stop()
                     for other, _slot in flights.values():
                         # unpenalized: roll back the execution ordinals
                         # bumped at submission, so fault plans see the
@@ -749,10 +664,9 @@ class TileExecutor:
                     flights.clear()
                     state.fail(hung_chunk, f"timeout after {timeout:g}s", queue)
                     if queue:
-                        workers = self._obtain_pool(payload, state.faults, width)
-            broken = False
+                        workers = self._make_pool(payload, state.faults, width)
         finally:
-            self._retire_pool(workers, broken)
+            workers.stop()
         for _, snapshot in sorted(state.snapshots, key=lambda pair: pair[0]):
             state.registry.merge(snapshot)
         return True

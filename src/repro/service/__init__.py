@@ -1,16 +1,14 @@
-"""DFM verification as a service: resident layouts, warm pools, shared
-results.
+"""DFM verification as a service: resident layouts, shared results.
 
-The one-shot CLI re-pays layout parse, worker-pool spin-up, and cache
-warm-up on every invocation.  This package keeps them resident in a
-long-lived daemon: layouts stay loaded (:mod:`~repro.service.session`;
-a store-backed session also skips the flatten), the worker pool stays
-warm for an identical payload (:class:`~repro.parallel.TileExecutor`
-in persistent mode), and
-per-tile results accumulate in a content-addressed
-:class:`~repro.parallel.cache.ResultStore` shared across runs and
-clients — so the steady-state cost of "verify the cell I just edited"
-is the dirty tiles, not the chip.
+The one-shot CLI re-pays layout parse and cache warm-up on every
+invocation.  This package keeps them resident in a long-lived daemon:
+layouts stay loaded (:mod:`~repro.service.session`; a store-backed
+session also skips the flatten), and per-tile results accumulate in a
+content-addressed :class:`~repro.parallel.cache.ResultStore` shared
+across runs and clients — so the steady-state cost of "verify the cell
+I just edited" is the dirty tiles, not the chip.  A pooled job forks
+its workers as the CLI does: an edit changes the payload a warm pool
+would hold, so one could not be reused.
 
 Entry points:
 

@@ -1,4 +1,4 @@
-"""The verification service: resident sessions + warm pool + shared store.
+"""The verification service: resident sessions + shared store.
 
 :class:`VerificationService` is the in-process heart of the daemon (the
 socket front end in :mod:`repro.service.daemon` is a thin wrapper).  It
@@ -7,9 +7,10 @@ owns four long-lived pieces and wires every job through all of them:
 * a :class:`~repro.service.session.SessionManager` of resident layouts,
   so a request against a warm session skips the GDSII parse (and, for
   a store-backed session, the flatten too);
-* one persistent :class:`~repro.parallel.TileExecutor` whose worker
-  pool stays warm across requests with an identical payload (the
-  ``pool.warm_reuse`` counter proves it);
+* one :class:`~repro.parallel.TileExecutor`, whose per-job
+  ``cancel_event`` carries cancels and deadlines into the run; like the
+  CLI's, each pooled job forks its own workers and stops them before
+  it returns;
 * a :class:`~repro.parallel.cache.ResultStore` shared across runs and
   clients, so any client's re-verify after an edit recomputes only the
   dirty tiles — whoever computed the clean ones;
@@ -65,6 +66,17 @@ def _percentile(sorted_ms: list[float], q: float) -> float:
     return sorted_ms[min(len(sorted_ms) - 1, int(q * (len(sorted_ms) - 1) + 0.5))]
 
 
+def _int_param(params: dict[str, Any], name: str, default: int, *, minimum: int) -> int:
+    """``params[name]`` (or ``default``), which must be an int of at
+    least ``minimum``; anything else is a typed bad request naming it."""
+    value = params.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise BadRequestError(
+            f"parameter {name!r} must be an integer >= {minimum}, got {value!r}"
+        )
+    return value
+
+
 class VerificationService:
     """Long-lived verification engine serving many requests.
 
@@ -86,7 +98,7 @@ class VerificationService:
         session_store_dir: str | None = None,
     ) -> None:
         self.default_node = node
-        self.executor = TileExecutor(jobs, persistent=True)
+        self.executor = TileExecutor(jobs)
         self.sessions = SessionManager(
             max_sessions=max_sessions, store_dir=session_store_dir
         )
@@ -138,7 +150,6 @@ class VerificationService:
             self._finish_cancelled(job, "service shut down before dispatch")
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=60.0)
-        self.executor.close()
         self.sessions.close()
 
     def __enter__(self) -> "VerificationService":
@@ -412,9 +423,17 @@ class VerificationService:
         if not gds:
             raise BadRequestError("missing required parameter 'gds'")
         node = int(params.get("node", self.default_node))
-        tile_nm = int(params.get("tile", 4000))
+        tile_nm = _int_param(params, "tile", 4000, minimum=1)
+        limit = _int_param(params, "limit", 10, minimum=0)
         chunk_timeout = params.get("chunk_timeout")
-        limit = int(params.get("limit", 10))
+        if chunk_timeout is not None and (
+            isinstance(chunk_timeout, bool)
+            or not isinstance(chunk_timeout, (int, float))
+            or not chunk_timeout > 0
+        ):
+            raise BadRequestError(
+                f"parameter 'chunk_timeout' must be a positive number, got {chunk_timeout!r}"
+            )
         session = self.sessions.get(gds)
         tech = self._tech(node)
         # store-backed sessions serve windowed rects straight from the

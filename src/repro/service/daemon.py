@@ -1,7 +1,7 @@
 """The socket front end: a threaded TCP server around the service.
 
-One daemon process holds the resident sessions, the warm worker pool,
-and the shared result store; any number of short-lived clients connect,
+One daemon process holds the resident sessions and the shared result
+store; any number of short-lived clients connect,
 speak one :mod:`repro.service.protocol` request, and disconnect.  The
 listener binds localhost only — the service trusts its callers (it
 opens the files they name), so it must never be reachable off-host.
@@ -15,8 +15,8 @@ host/port flags.
 
 Shutdown is graceful from three directions — the ``shutdown`` wire op,
 SIGTERM, SIGINT — and always the same sequence: stop accepting, cancel
-queued jobs, let the in-flight job finish, release the sessions and
-the worker pool, remove the state file.
+queued jobs, let the in-flight job finish (its worker pool stops with
+it), release the sessions, remove the state file.
 """
 
 from __future__ import annotations

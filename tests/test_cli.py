@@ -137,6 +137,23 @@ class TestScanLimit:
         if rc == 1:  # hotspots found on this block
             assert "... and" in out or out.count("\n  ") <= 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "block.gds", "--limit", "-1"],
+            ["submit", "scan", "block.gds", "--limit", "-1"],
+            ["matrix", "--limit", "-1"],
+        ],
+        ids=["scan", "submit", "matrix"],
+    )
+    def test_negative_limit_is_a_usage_error(self, argv, capsys):
+        # a negative slice bound would drop findings from the end of the
+        # listing; argparse refuses it before any command runs
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
 
 class TestExitCodeContract:
     @pytest.fixture(scope="class")

@@ -34,7 +34,7 @@ from repro.litho import (
     scan_full_chip,
 )
 from repro.litho import hotspots
-from repro.litho.fullchip import _ScanGeometry
+from repro.litho.fullchip import _ScanPayload
 from repro.litho.hotspots import (
     Hotspot,
     _DrawnContext,
@@ -571,7 +571,7 @@ class TestScanFastPath:
         assert fast.tiles == legacy.tiles
 
     def test_tile_key_stability(self, fastpath_setup):
-        # a tile key hashes the indexed local clip of the tile's
+        # a tile key hashes the payload layer's clip of the tile's
         # influence window, which must equal the whole-chip region
         # clipped to it, tile by tile
         _, model, m1 = fastpath_setup
@@ -579,7 +579,7 @@ class TestScanFastPath:
         g = model.settings.grid_nm
         halo = max(model.halo_nm(c.defocus_nm) for c in process.corners())
         halo = -(-halo // g) * g
-        geometry = _ScanGeometry(m1)
+        geometry = _ScanPayload(model, m1, None, process, None, None, halo).drawn
         tiles = tile_grid(m1.bbox, 1200, 200)
         assert len(tiles) > 1
         for tile in tiles:
@@ -591,12 +591,12 @@ class TestScanFastPath:
     def test_scan_geometry_survives_pickle(self, fastpath_setup):
         import pickle
 
-        _, _, m1 = fastpath_setup
-        geo = _ScanGeometry(m1)
+        _, model, m1 = fastpath_setup
+        geo = _ScanPayload(model, m1, None, ProcessWindow(), None, None).drawn
         window = Rect(0, 0, 2000, 2000)
-        before = sorted(r.as_tuple() for r in geo.near(window))
+        before = sorted(r.as_tuple() for r in geo.window(window))
         clone = pickle.loads(pickle.dumps(geo))
-        assert sorted(r.as_tuple() for r in clone.near(window)) == before
+        assert sorted(r.as_tuple() for r in clone.window(window)) == before
         assert clone.clipped(window) == geo.clipped(window)
 
 

@@ -474,3 +474,28 @@ def test_drc_checks_check_their_sort_keys():
         check_area(tall, AreaRule("A", m1, 100))
     with pytest.raises(OverflowError):
         check_enclosure(tall, tall, EnclosureRule("E", v1, m1, 5, two_sided=True))
+
+
+# windows on the region's own edges: one touching a slab's top edge, one
+# a corner only, one meeting a slab's x-edge but not its y-range, a
+# zero-width one on a slab boundary, and one outside; and an empty region
+@example(
+    case=(
+        Region([Rect(0, 0, 10, 10), Rect(10, 20, 30, 30)]),
+        [
+            Rect(0, 10, 5, 15),
+            Rect(30, 30, 40, 40),
+            Rect(30, 0, 40, 5),
+            Rect(10, 0, 10, 50),
+            Rect(-20, -20, -5, -5),
+        ],
+    )
+)
+@example(case=(Region(), [Rect(0, 0, 10, 10), Rect(5, 5, 5, 5)]))
+@given(region_and_boxes())
+@settings(max_examples=300)
+def test_window_matches_brute_force(case):
+    a, boxes = case
+    rects = list(a.rects())
+    for box in boxes:
+        assert a.window(box) == [r for r in rects if r.touches(box)]

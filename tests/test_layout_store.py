@@ -96,7 +96,8 @@ class TestStoreRoundTrip:
     def test_window_matches_brute_force(self, store_setup, tech45):
         block, _, view = store_setup
         layer = tech45.layers.metal1
-        rects = list(block.top.region(layer).rects())
+        region = block.top.region(layer)
+        rects = list(region.rects())
         stored = view.layer_for(layer)
         bbox = view.extent
         windows = [
@@ -108,6 +109,7 @@ class TestStoreRoundTrip:
         for window in windows:
             expect = [r for r in rects if r.touches(window)]
             assert stored.window(window) == expect
+            assert region.window(window) == expect
 
     def test_layer_pickles_as_a_handle(self, store_setup, tech45):
         _, _, view = store_setup
@@ -572,7 +574,8 @@ class TestServiceSessions:
 
     def test_reingested_store_is_not_scanned_by_warm_workers(self, tech45, tmp_path):
         # moving a line keeps every layer's rect count and file offset, so
-        # only the layer digest tells the persistent pool the store changed
+        # the re-ingested layer pickles to the old handle but for its
+        # digest; the rescan must list the moved line, not the old file
         from repro.service import ServiceClient, VerificationService
 
         m1 = tech45.layers.metal1

@@ -3,13 +3,14 @@
 Covers the queue (priority bands, per-client fairness, bounded depth),
 the shared result store (namespacing, LRU, persistence), the wire
 protocol, resident sessions, the service lifecycle (cancel, timeout,
-shed, deterministic results vs. the one-shot API), the persistent
-executor seam, and a full socket round trip against an in-process
+shed, deterministic results vs. the one-shot API), the executor's
+cancel seam, and a full socket round trip against an in-process
 daemon.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import socket
@@ -21,7 +22,6 @@ import pytest
 from repro import api
 from repro.gdsii import read_gds, write_gds
 from repro.geometry import Rect
-from repro.obs import MetricsRegistry, names, set_registry
 from repro.parallel import AbortRun, TileCache, TileExecutor
 from repro.service import (
     BadRequestError,
@@ -413,6 +413,32 @@ class TestServiceLifecycle:
             )
             assert missing.state is JobState.FAILED
 
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            ({"limit": -1}, "limit"),
+            ({"limit": -100}, "limit"),
+            ({"limit": "x"}, "limit"),
+            ({"tile": 0}, "tile"),
+            ({"tile": "abc"}, "tile"),
+            ({"chunk_timeout": "5"}, "chunk_timeout"),
+            ({"chunk_timeout": 0}, "chunk_timeout"),
+        ],
+        ids=["limit-1", "limit-100", "limit-str", "tile0", "tile-str",
+             "timeout-str", "timeout0"],
+    )
+    def test_bad_job_parameters_are_typed(self, gds_path, params, field):
+        # a negative limit used to slice findings off the end of the
+        # listing; the others failed the job with a bare ValueError or
+        # TypeError
+        with VerificationService(jobs=1) as service:
+            job = service.wait(
+                service.submit("scan", {"gds": gds_path, **params}), timeout=30
+            )
+        assert job.state is JobState.FAILED
+        assert job.error.startswith("bad-request:")
+        assert repr(field) in job.error
+
     def test_metrics_shape(self, gds_path):
         with VerificationService(jobs=1) as service:
             ServiceClient(service).run("scan", {"gds": gds_path, "tile": 2000})
@@ -490,32 +516,21 @@ class TestPooledService:
         assert len(direct_drc.violations) >= 2
         assert drc.result["listing"] == [str(v) for v in direct_drc.violations]
 
+    def test_pooled_job_leaves_no_worker_alive(self, gds_path):
+        # every pooled job forks its own workers and stops them before
+        # the job returns: the daemon keeps no idle processes between jobs
+        before = set(multiprocessing.active_children())
+        with VerificationService(jobs=2) as service:
+            for kind in ("scan", "drc"):
+                job = ServiceClient(service).run(kind, {"gds": gds_path, "tile": 2000})
+                assert job.state is JobState.DONE, job.error
+                assert job.result["tiles_computed"] > 1  # so the run was pooled
+                assert set(multiprocessing.active_children()) - before == set()
+
 
 class TestPersistentExecutor:
-    def test_warm_pool_reuse_and_context_manager(self):
-        fresh = MetricsRegistry(enabled=True)
-        previous = set_registry(fresh)
-        try:
-            with TileExecutor(2, persistent=True) as executor:
-                first = executor.run(_double, ("payload",), [1, 2, 3, 4])
-                pool = executor._pool
-                assert pool is not None  # kept warm between calls
-                second = executor.run(_double, ("payload",), [5, 6])
-                assert executor._pool is pool
-                assert first.results == [2, 4, 6, 8]
-                assert second.results == [10, 12]
-                assert fresh.counter(names.POOL_WARM_REUSE) == 1
-            assert executor._pool is None  # context exit released it
-            executor.close()  # idempotent
-        finally:
-            set_registry(previous)
-
-    def test_payload_change_retires_warm_pool(self):
-        with TileExecutor(2, persistent=True) as executor:
-            executor.run(_double, ("a",), [1, 2])
-            pool = executor._pool
-            executor.run(_double, ("b",), [1, 2])
-            assert executor._pool is not pool
+    """The executor seam the service drives: a cancel event set before
+    the run starts aborts it."""
 
     def test_preset_cancel_event_aborts_run(self):
         executor = TileExecutor(1)
